@@ -59,6 +59,21 @@ def posterior_bayes(params: ClassicalParams) -> Probability:
     return Probability(min(1.0, params.q_r * params.p / denom))
 
 
+def accardi_defined(q_r, q_n, margin):
+    """A is defined where |q_r - q_n| > margin; floats or NumPy arrays."""
+    return abs(q_r - q_n) > margin
+
+
+def boost_defined(p, q_r, q_n, margin):
+    """Delta is defined where p > margin and P(X) >= EPS_DENOM; floats or arrays."""
+    return (p > margin) & (q_r * p + q_n * (1.0 - p) >= EPS_DENOM)
+
+
+def boost_closed_form(p, q_r, q_n):
+    """Delta = (q_r - q_n)(1 - p) / (q_r p + q_n (1 - p)), unguarded."""
+    return (q_r - q_n) * (1.0 - p) / (q_r * p + q_n * (1.0 - p))
+
+
 def boost_classical(params: ClassicalParams) -> float:
     """Expected precision boost of expanding with the term:
 
@@ -67,14 +82,9 @@ def boost_classical(params: ClassicalParams) -> float:
     Positive iff q_r > q_n.  Raises BoostUndefined when p ~ 0 (no relevant
     documents; relative boost meaningless) or when P(X) ~ 0.
     """
-    if params.p < EPS_DENOM:
-        raise BoostUndefined(f"prior P(R)={params.p} is effectively zero")
-    denom = params.q_r * params.p + params.q_n * (1.0 - params.p)
-    if denom < EPS_DENOM:
-        raise BoostUndefined(
-            f"marginal P(X)={denom} is effectively zero for {params}"
-        )
-    return (params.q_r - params.q_n) * (1.0 - params.p) / denom
+    if not boost_defined(params.p, params.q_r, params.q_n, EPS_DENOM):
+        raise BoostUndefined(f"P(R) or P(X) is effectively zero for {params}")
+    return boost_closed_form(params.p, params.q_r, params.q_n)
 
 
 def accardi_classical(params: ClassicalParams) -> float:
@@ -82,8 +92,6 @@ def accardi_classical(params: ClassicalParams) -> float:
 
     Raises AccardiUndefined when q_r ~ q_n (non-discriminating term).
     """
-    if abs(params.q_r - params.q_n) < EPS_DENOM:
-        raise AccardiUndefined(
-            f"q_r = q_n = {params.q_r} within tolerance"
-        )
+    if not accardi_defined(params.q_r, params.q_n, EPS_DENOM):
+        raise AccardiUndefined(f"q_r = q_n = {params.q_r} within tolerance")
     return params.p

@@ -99,6 +99,26 @@ def posterior_quantum(params: QuantumParams) -> Probability:
     return Probability(_clamp01((1.0 + math.cos(params.alpha)) / 2.0))
 
 
+def accardi_defined(cos_alpha, margin):
+    """A is defined where |cos alpha| > margin; cosines as floats or arrays."""
+    return abs(cos_alpha) > margin
+
+
+def boost_defined(cos_phi, margin):
+    """Delta is defined where P(R) = (1 + cos phi) / 2 > margin."""
+    return (1.0 + cos_phi) / 2.0 > margin
+
+
+def accardi_closed_form(cos_alpha, cos_phi_minus_alpha):
+    """A = (1 + cos(phi - alpha)/cos(alpha)) / 2, unguarded."""
+    return 0.5 * (1.0 + cos_phi_minus_alpha / cos_alpha)
+
+
+def boost_closed_form(cos_phi, cos_alpha):
+    """Delta = (cos alpha - cos phi) / (1 + cos phi), unguarded."""
+    return (cos_alpha - cos_phi) / (1.0 + cos_phi)
+
+
 def boost_quantum(params: QuantumParams) -> float:
     """Precision boost (cos alpha - cos phi) / (1 + cos phi).
 
@@ -106,9 +126,9 @@ def boost_quantum(params: QuantumParams) -> float:
     relevance, P(R) = 0, and relative boost is meaningless.
     """
     cp = math.cos(params.phi)
-    if (1.0 + cp) / 2.0 < EPS_DENOM:
+    if not boost_defined(cp, EPS_DENOM):
         raise BoostUndefined(f"P(R)=0 at phi={params.phi}")
-    return (math.cos(params.alpha) - cp) / (1.0 + cp)
+    return boost_closed_form(cp, math.cos(params.alpha))
 
 
 def accardi_quantum(params: QuantumParams) -> float:
@@ -118,9 +138,9 @@ def accardi_quantum(params: QuantumParams) -> float:
     P(X|R) = P(X|~R) = 1/2 and the defining ratio degenerates.
     """
     ca = math.cos(params.alpha)
-    if abs(ca) < EPS_DENOM:
+    if not accardi_defined(ca, EPS_DENOM):
         raise AccardiUndefined(f"cos(alpha)=0 at alpha={params.alpha}")
-    return 0.5 * (1.0 + math.cos(params.phi - params.alpha) / ca)
+    return accardi_closed_form(ca, math.cos(params.phi - params.alpha))
 
 
 def interference_term(params: QuantumParams) -> float:

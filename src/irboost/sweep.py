@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class SweepConfig:
             raise ValueError("exclusion_margin must lie in [0, 0.5)")
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     """One (A, Delta) point; a/delta are NaN when the matching flag is False."""
 
     model: str
@@ -121,60 +121,42 @@ def sample_params(config: SweepConfig) -> np.ndarray:
     return rng.random((config.n_points, 2)) * math.pi
 
 
-def _flags_classical(p, q_r, q_n, margin):
-    m = max(margin, EPS_DENOM)
-    denom = q_r * p + q_n * (1.0 - p)
-    accardi_ok = np.abs(q_r - q_n) > m
-    boost_ok = (p > m) & (denom >= EPS_DENOM)
-    return accardi_ok, boost_ok, denom
-
-
-def _flags_quantum(phi, alpha, margin):
-    m = max(margin, EPS_DENOM)
-    accardi_ok = np.abs(np.cos(alpha)) > m
-    boost_ok = (1.0 + np.cos(phi)) / 2.0 > m
-    return accardi_ok, boost_ok
+def _flags(params, margin: float):
+    """(accardi_defined, boost_defined) by the models' rules at the exclusion
+    margin (at least EPS_DENOM), for one point or, row by row, for an
+    analytic sweep's 3- or 2-column parameter matrix."""
+    m = margin if margin > EPS_DENOM else EPS_DENOM
+    if isinstance(params, QuantumParams):
+        cos_phi, cos_alpha = math.cos(params.phi), math.cos(params.alpha)
+        return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
+    if isinstance(params, ClassicalParams):
+        p, q_r, q_n = params.p, params.q_r, params.q_n
+    elif not isinstance(params, np.ndarray):
+        raise TypeError(f"unsupported parameters: {params!r}")
+    elif params.shape[1] == 2:
+        cos_phi, cos_alpha = np.cos(params[:, 0]), np.cos(params[:, 1])
+        return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
+    else:
+        p, q_r, q_n = params[:, 0], params[:, 1], params[:, 2]
+    return cm.accardi_defined(q_r, q_n, m), cm.boost_defined(p, q_r, q_n, m)
 
 
 def _analytic_points(config: SweepConfig, mat: np.ndarray) -> list[ScatterPoint]:
-    if config.model == "classical":
-        p, q_r, q_n = mat[:, 0], mat[:, 1], mat[:, 2]
-        accardi_ok, boost_ok, denom = _flags_classical(
-            p, q_r, q_n, config.exclusion_margin
-        )
-        a = np.where(accardi_ok, p, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.where(boost_ok, (q_r - q_n) * (1.0 - p) / denom, np.nan)
-        return [
-            ScatterPoint(
-                "classical",
-                ClassicalParams(p[i], q_r[i], q_n[i]),
-                float(a[i]),
-                float(delta[i]),
-                bool(accardi_ok[i]),
-                bool(boost_ok[i]),
-            )
-            for i in range(len(p))
-        ]
-
-    phi, alpha = mat[:, 0], mat[:, 1]
-    accardi_ok, boost_ok = _flags_quantum(phi, alpha, config.exclusion_margin)
-    ca = np.cos(alpha)
-    cp = np.cos(phi)
+    a_ok, d_ok = _flags(mat, config.exclusion_margin)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(accardi_ok, 0.5 * (1.0 + np.cos(phi - alpha) / ca), np.nan)
-        delta = np.where(boost_ok, (ca - cp) / (1.0 + cp), np.nan)
-    return [
-        ScatterPoint(
-            "quantum",
-            QuantumParams(phi[i], alpha[i]),
-            float(a[i]),
-            float(delta[i]),
-            bool(accardi_ok[i]),
-            bool(boost_ok[i]),
-        )
-        for i in range(len(phi))
-    ]
+        if config.model == "classical":
+            p, q_r, q_n = mat[:, 0], mat[:, 1], mat[:, 2]
+            a = np.where(a_ok, p, np.nan)
+            delta = np.where(d_ok, cm.boost_closed_form(p, q_r, q_n), np.nan)
+            params = [ClassicalParams(*row) for row in zip(p, q_r, q_n)]
+        else:
+            phi, alpha = mat[:, 0], mat[:, 1]
+            cp, ca = np.cos(phi), np.cos(alpha)
+            a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
+            delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
+            params = [QuantumParams(*row) for row in zip(phi, alpha)]
+    columns = (a.tolist(), delta.tolist(), a_ok.tolist(), d_ok.tolist())
+    return [ScatterPoint(config.model, *row) for row in zip(params, *columns)]
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -184,17 +166,8 @@ def _point_seed(seed: int, index: int) -> int:
 def _montecarlo_point(
     params: Params, n_per_arm: int, seed: int, margin: float
 ) -> ScatterPoint:
-    if isinstance(params, ClassicalParams):
-        model = "classical"
-        accardi_ok, boost_ok, _ = _flags_classical(
-            np.float64(params.p), np.float64(params.q_r), np.float64(params.q_n),
-            margin,
-        )
-    else:
-        model = "quantum"
-        accardi_ok, boost_ok = _flags_quantum(
-            np.float64(params.phi), np.float64(params.alpha), margin
-        )
+    model = "classical" if isinstance(params, ClassicalParams) else "quantum"
+    accardi_ok, boost_ok = _flags(params, margin)
     if not (accardi_ok or boost_ok):
         return ScatterPoint(model, params, math.nan, math.nan, False, False)
 
@@ -279,24 +252,20 @@ def eval_point(
     if mode == "montecarlo":
         return _montecarlo_point(params, n_per_arm, seed, exclusion_margin)
 
+    accardi_ok, boost_ok = _flags(params, exclusion_margin)
+    # looked up at call time, so wrappers on the model modules see each call
     if isinstance(params, ClassicalParams):
-        model = "classical"
-        a_fn, d_fn = cm.accardi_classical, cm.boost_classical
-    elif isinstance(params, QuantumParams):
-        model = "quantum"
-        a_fn, d_fn = qm.accardi_quantum, qm.boost_quantum
+        model, a_fn, d_fn = "classical", cm.accardi_classical, cm.boost_classical
     else:
-        raise TypeError(f"unsupported parameters: {params!r}")
-
-    try:
-        a, a_ok = a_fn(params), True
-    except UndefinedQuantity:
-        a, a_ok = math.nan, False
-    try:
-        delta, d_ok = d_fn(params), True
-    except UndefinedQuantity:
-        delta, d_ok = math.nan, False
-    return ScatterPoint(model, params, a, delta, a_ok, d_ok)
+        model, a_fn, d_fn = "quantum", qm.accardi_quantum, qm.boost_quantum
+    return ScatterPoint(
+        model,
+        params,
+        a_fn(params) if accardi_ok else math.nan,
+        d_fn(params) if boost_ok else math.nan,
+        accardi_ok,
+        boost_ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +309,8 @@ def parse_count_file(path) -> "tuple[int, int, int, int, int]":
         raise MalformedInput(
             "both relevance classes must be populated to form conditional rates"
         )
+    if n > sys.float_info.max:  # N bounds every other count
+        raise MalformedInput("N is beyond float range")
     return n, n_r, n_xr, n_xn, n_x
 
 

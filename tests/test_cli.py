@@ -113,10 +113,15 @@ class TestEstimateCommand:
 
     def test_malformed_exits_2(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("1000 500 600 100 500\n")
-        proc = run_cli("estimate", str(path), check=False)
-        assert proc.returncode == 2
-        assert "error" in proc.stderr
+        inconsistent = "1000 500 600 100 500\n"
+        beyond_float = " ".join(str(k * 10**400) for k in (4, 2, 1, 1, 2)) + "\n"
+        for text in (inconsistent, beyond_float):
+            path.write_text(text)
+            proc = run_cli("estimate", str(path), check=False)
+            assert proc.returncode == 2
+            # one error line, no traceback
+            assert proc.stderr.startswith("irboost: error:")
+            assert proc.stderr.count("\n") == 1
 
     def test_missing_file_exits_3(self):
         proc = run_cli("estimate", "/no/such/file", check=False)

@@ -8,10 +8,6 @@ from irboost import (
     MalformedInput,
     QuantumParams,
     SweepConfig,
-    accardi_classical,
-    accardi_quantum,
-    boost_classical,
-    boost_quantum,
     estimate_from_file,
     eval_point,
     export_csv,
@@ -21,7 +17,12 @@ from irboost import (
     summarize,
     sweep,
 )
-from irboost.sweep import CSV_HEADER, ScatterPoint, write_gnuplot
+from irboost.sweep import (
+    CSV_HEADER,
+    DEFAULT_EXCLUSION_MARGIN,
+    ScatterPoint,
+    write_gnuplot,
+)
 
 
 class TestSweepAnalytic:
@@ -42,18 +43,27 @@ class TestSweepAnalytic:
             assert summary.fraction_a_below_0 > 0.0
 
     def test_matches_scalar_closed_forms(self):
-        points, _ = sweep(SweepConfig("quantum", 200, seed=9))
-        for pt in points:
-            if pt.accardi_defined:
-                assert pt.a == pytest.approx(accardi_quantum(pt.params), abs=1e-12)
-            if pt.boost_defined:
-                assert pt.delta == pytest.approx(boost_quantum(pt.params), abs=1e-12)
-        points, _ = sweep(SweepConfig("classical", 200, seed=9))
-        for pt in points:
-            if pt.accardi_defined:
-                assert pt.a == pytest.approx(accardi_classical(pt.params), abs=1e-12)
-            if pt.boost_defined:
-                assert pt.delta == pytest.approx(boost_classical(pt.params), abs=1e-12)
+        # every sweep point equals eval_point on its parameters at the same
+        # margin, field for field and bit for bit (float.hex: NaN matches NaN)
+        def fields(pt):
+            return (pt.model, pt.params, pt.a.hex(), pt.delta.hex(),
+                    pt.accardi_defined, pt.boost_defined)
+
+        for model in ("classical", "quantum"):
+            for margin in (DEFAULT_EXCLUSION_MARGIN, 0.3):
+                config = SweepConfig(model, 200, seed=9, exclusion_margin=margin)
+                points, _ = sweep(config)
+                for pt in points:
+                    want = eval_point(pt.params, exclusion_margin=margin)
+                    assert fields(pt) == fields(want)
+        # inside the default margin of a singular manifold, clear of EPS_DENOM
+        for params in (
+            ClassicalParams(0.5, 0.5000001, 0.5),
+            QuantumParams(1.0, math.pi / 2 + 5e-7),
+        ):
+            pt = eval_point(params)
+            assert pt.accardi_defined is False
+            assert math.isnan(pt.a)
 
     def test_deterministic(self):
         a = sweep(SweepConfig("quantum", 300, seed=5))
