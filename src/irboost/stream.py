@@ -13,23 +13,35 @@ relevance tally the boost comparison needs.
 
 Each arm runs until ``n_per_arm`` *accepted* documents ("wait for the same
 number of documents to arrive" semantics); the raw draws consumed are
-reported so the latency cost of filtering is observable.  Every arm draws
-from its own RNG substream keyed by (seed, arm index), so arm results are
-independent of the order (or parallelism) in which arms are simulated, and
-identical configs give bit-identical results.
+reported so the latency cost of filtering is observable.  An arm accepts a
+raw draw with probability p_acc and scores an accepted document a success
+with probability q_acc, both read off the model's rates.  Its tally is
+sampled from its exact law (the waiting-time construction, Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. X) in a few variates,
+whatever n and p_acc are:
+
+* the arm starves iff K < n, where K ~ Binomial(MAX_DRAWS_FACTOR n, p_acc)
+  counts the acceptances within the raw-draw budget;
+* otherwise draws = n + NegBinomial(n, p_acc), redrawn until it fits the
+  budget (the same event), and successes ~ Binomial(n, q_acc).
+
+Every arm draws from its own RNG substream keyed by (seed, arm index), so
+arm results are independent of the order (or parallelism) in which arms are
+simulated, and identical configs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .classical import ClassicalParams
+from .classical import ClassicalParams, marginal_term_rate
 from .errors import ArmStarvation, BoostUndefined, UndefinedQuantity
 from .probcore import (
     EPS_DENOM,
@@ -46,8 +58,8 @@ ModelParams = Union[ClassicalParams, QuantumParams]
 # Raw-draw budget per arm; acceptance probabilities below 1/MAX_DRAWS_FACTOR
 # starve the arm instead of hanging the run.
 MAX_DRAWS_FACTOR = 10_000
-
-_CHUNK = 1 << 15
+# the budget must fit the 64-bit count the variate generators take
+_MAX_N_PER_ARM = (2**63 - 1) // MAX_DRAWS_FACTOR
 
 
 class ArmKind(enum.Enum):
@@ -154,61 +166,39 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# per-arm kernels
-#
-# Each document consumes exactly two uniforms (u0, u1); a step function maps
-# them to (accepted, success) masks.  Constant consumption per document keeps
-# the substream layout independent of the outcomes.
+# per-arm kernel
 # ---------------------------------------------------------------------------
 
-Step = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 
+@functools.lru_cache(maxsize=1)
+def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
+    """(p_acc, q_acc) of every arm, indexed by substream index: the chance
+    that a raw draw is accepted and that an accepted document is a success.
 
-def _classical_step(params: ClassicalParams, kind: Optional[ArmKind]) -> Step:
-    p, q_r, q_n = params.p, params.q_r, params.q_n
-
-    if kind is ArmKind.COND_ON_RELEVANT:
-        return lambda u0, u1: (u0 < p, u1 < q_r)
-    if kind is ArmKind.COND_ON_NON_RELEVANT:
-        return lambda u0, u1: (u0 >= p, u1 < q_n)
-    if kind is ArmKind.DIRECT_TERM:
-        # relevance is drawn but not checked; the term threshold still
-        # depends on it, as in the urn
-        def direct(u0, u1):
-            thresh = np.where(u0 < p, q_r, q_n)
-            return np.ones_like(u0, dtype=bool), u1 < thresh
-
-        return direct
-    if kind is ArmKind.EXPAND_THEN_RELEVANCE:
-        def expand(u0, u1):
-            rel = u0 < p
-            has_term = u1 < np.where(rel, q_r, q_n)
-            return has_term, rel
-
-        return expand
-    # baseline: unconditioned relevance tally
-    return lambda u0, u1: (np.ones_like(u0, dtype=bool), u0 < p)
-
-
-def _quantum_step(params: QuantumParams, kind: Optional[ArmKind]) -> Step:
-    r = quantum_rates(params)
-    p_r = float(r.p_r)
-    p_x_r = float(r.p_x_given_r)
-    p_x_n = float(r.p_x_given_n)
-    p_x = float(r.p_x_direct)
-
-    # Collapse rule: the second measurement's success probability depends
-    # only on the eigenstate selected by the first, never on |q>.
-    if kind is ArmKind.COND_ON_RELEVANT:
-        return lambda u0, u1: (u0 < p_r, u1 < p_x_r)
-    if kind is ArmKind.COND_ON_NON_RELEVANT:
-        return lambda u0, u1: (u0 >= p_r, u1 < p_x_n)
-    if kind is ArmKind.DIRECT_TERM:
-        return lambda u0, u1: (np.ones_like(u0, dtype=bool), u1 < p_x)
-    if kind is ArmKind.EXPAND_THEN_RELEVANCE:
-        # after collapsing onto |X>, P(R) = |<R|X>|^2 = p_x_given_r
-        return lambda u0, u1: (u0 < p_x, u1 < p_x_r)
-    return lambda u0, u1: (np.ones_like(u0, dtype=bool), u0 < p_r)
+    Cached for the last model: every arm of a run goes through
+    ``simulate_arm``, and the five share one computation of the rates.
+    """
+    if isinstance(model, ClassicalParams):
+        p, q_r, q_n = model.p, model.q_r, model.q_n
+        p_x = marginal_term_rate(model)
+        p_r_x = p * q_r / p_x if p_x > 0.0 else 0.0
+        pairs = ((p, q_r), (1.0 - p, q_n), (1.0, p_x), (p_x, p_r_x), (1.0, p))
+    elif isinstance(model, QuantumParams):
+        # Collapse rule: the second measurement's success probability
+        # depends only on the eigenstate selected by the first, never on
+        # |q>; after collapsing onto |X>, P(R) = |<R|X>|^2 = P(X|R).
+        r = quantum_rates(model)
+        pairs = (
+            (r.p_r, r.p_x_given_r),
+            (1.0 - r.p_r, r.p_x_given_n),
+            (1.0, r.p_x_direct),
+            (r.p_x_direct, r.p_x_given_r),
+            (1.0, r.p_r),
+        )
+    else:
+        raise TypeError(f"unsupported model parameters: {model!r}")
+    # rounding can put a rate an ulp outside [0, 1]
+    return tuple((min(1.0, max(0.0, a)), min(1.0, max(0.0, q))) for a, q in pairs)
 
 
 def _arm_rng(seed: int, index: int) -> np.random.Generator:
@@ -216,40 +206,22 @@ def _arm_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _run_arm(
-    rng: np.random.Generator, step: Step, n_target: int, arm_name: str
+    rng: np.random.Generator, p_acc: float, q_acc: float, n: int, arm_name: str
 ) -> ArmTally:
-    max_draws = MAX_DRAWS_FACTOR * n_target
-    accepted = 0
-    successes = 0
-    draws = 0
-    while accepted < n_target and draws < max_draws:
-        m = min(_CHUNK, max_draws - draws)
-        u = rng.random((m, 2))
-        acc, suc = step(u[:, 0], u[:, 1])
-        hits = acc & suc
-        cum = np.cumsum(acc)
-        need = n_target - accepted
-        total_acc = int(cum[-1]) if m else 0
-        if total_acc >= need:
-            stop = int(np.searchsorted(cum, need))  # index of need-th accept
-            draws += stop + 1
-            successes += int(np.count_nonzero(hits[: stop + 1]))
-            accepted = n_target
-        else:
-            draws += m
-            accepted += total_acc
-            successes += int(np.count_nonzero(hits))
-    if accepted < n_target:
-        raise ArmStarvation(arm_name, accepted, n_target, draws)
-    return ArmTally(ArmCounts(n_target, successes), draws)
-
-
-def _step_for(model: ModelParams, kind: Optional[ArmKind]) -> Step:
-    if isinstance(model, ClassicalParams):
-        return _classical_step(model, kind)
-    if isinstance(model, QuantumParams):
-        return _quantum_step(model, kind)
-    raise TypeError(f"unsupported model parameters: {model!r}")
+    """Tally of an arm that stops at its n-th acceptance, drawn from its
+    exact law in a few variates rather than document by document."""
+    budget = MAX_DRAWS_FACTOR * n
+    # the n-th acceptance comes after the budget iff fewer than n of the
+    # budget's draws are accepted
+    accepted = rng.binomial(budget, p_acc)
+    if accepted < n:
+        raise ArmStarvation(arm_name, accepted, n, budget)
+    # draws to the n-th acceptance, conditioned on the same event by
+    # rejection: one pass in expectation per arm
+    draws = budget + 1
+    while draws > budget:
+        draws = n + rng.negative_binomial(n, p_acc)
+    return ArmTally(ArmCounts(n, rng.binomial(n, q_acc)), draws)
 
 
 def simulate_arm(
@@ -262,27 +234,25 @@ def simulate_arm(
     arm simulated alone is bit-identical to the same arm inside
     ``simulate_classical`` / ``simulate_quantum``.
     """
-    if n_per_arm < 1:
-        raise ValueError("n_per_arm must be >= 1")
+    if not 1 <= n_per_arm <= _MAX_N_PER_ARM:
+        raise ValueError(f"n_per_arm must lie in [1, {_MAX_N_PER_ARM}]")
     index = _BASELINE_INDEX if kind is None else _ARM_INDEX[kind]
     name = BASELINE_NAME if kind is None else kind.value
-    rng = _arm_rng(seed, index)
-    return _run_arm(rng, _step_for(model, kind), n_per_arm, name)
+    p_acc, q_acc = _arm_rates(model)[index]
+    return _run_arm(_arm_rng(seed, index), p_acc, q_acc, n_per_arm, name)
 
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
 
-    arms: dict[ArmKind, Optional[ArmTally]] = {}
-    for kind in ArmKind:
+    def tally(kind: Optional[ArmKind]) -> Optional[ArmTally]:
         try:
-            arms[kind] = simulate_arm(model, kind, n_per_arm, seed)
+            return simulate_arm(model, kind, n_per_arm, seed)
         except ArmStarvation:
-            arms[kind] = None
-    try:
-        baseline = simulate_arm(model, None, n_per_arm, seed)
-    except ArmStarvation:
-        baseline = None
+            return None
+
+    arms = {kind: tally(kind) for kind in ArmKind}
+    baseline = tally(None)
 
     rates = None
     accardi_est = None

@@ -27,7 +27,7 @@ import numpy as np
 from . import classical as cm
 from . import quantum as qm
 from .classical import ClassicalParams
-from .errors import ArmStarvation, MalformedInput, UndefinedQuantity
+from .errors import MalformedInput, UndefinedQuantity
 from .probcore import EPS_DENOM, ArmCounts, EstimateWithError, accardi_from_counts
 from .quantum import QuantumParams
 from .stream import simulate_classical, simulate_quantum
@@ -171,13 +171,10 @@ def _montecarlo_point(
     if not (accardi_ok or boost_ok):
         return ScatterPoint(model, params, math.nan, math.nan, False, False)
 
-    try:
-        if isinstance(params, ClassicalParams):
-            result = simulate_classical(params, n_per_arm, seed)
-        else:
-            result = simulate_quantum(params, n_per_arm, seed)
-    except ArmStarvation:
-        return ScatterPoint(model, params, math.nan, math.nan, False, False)
+    if isinstance(params, ClassicalParams):
+        result = simulate_classical(params, n_per_arm, seed)
+    else:
+        result = simulate_quantum(params, n_per_arm, seed)
 
     a_est = result.accardi_est if accardi_ok else None
     b_est = result.boost_est if boost_ok else None
@@ -404,11 +401,20 @@ def export_csv(points: Iterable[ScatterPoint], path) -> None:
         write_csv(points, fh)
 
 
+def _csv_rows(fh):
+    """Rows of a CSV file; a row the csv module cannot read (say, a field
+    over ``csv.field_size_limit()``) is MalformedInput."""
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        raise MalformedInput(f"unreadable CSV: {exc}") from None
+
+
 def read_csv(path) -> list[ScatterPoint]:
     """Parse a file written by ``export_csv``; exact value round-trip."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise MalformedInput(f"unexpected CSV header: {header!r}")

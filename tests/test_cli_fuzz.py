@@ -1,0 +1,153 @@
+"""Exit-code contract of ``irboost.cli.main`` under generated input.
+
+Whatever the argument vector, count file or CSV file, the CLI exits 0
+(success), 2 (malformed input) or 3 (I/O failure), and no exception
+escapes it: a traceback on stderr is always a bug.  Argument values are
+drawn from pools of valid, out-of-range and unparsable tokens; sizes that
+set the amount of work (--n-points) stay small.  Every output path lies
+in a per-example temporary directory.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from irboost.cli import main
+from irboost.sweep import CSV_HEADER
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
+
+NUMBERS = st.sampled_from(
+    ["0", "1", "0.5", "0.25", "-0", "-0.1", "1.5", "3.14159", "1e-300", "1e309",
+     "-1e309", "nan", "inf", "-inf", "", "x", "0x1p-3", "1,2", "١"]
+)
+INTS = st.sampled_from(["0", "1", "2", "7", "-1", "-5", "1e3", "x", "", "18446744073709551616"])
+BIG_INTS = st.sampled_from(["1", "10", "100", "10000", "1000000000000", "999999999999999", str(10**30)])
+SEEDS = st.sampled_from(["0", "3", "-1", "18446744073709551615", "18446744073709551616", str(2**70), "s"])
+PARAMS = st.lists(NUMBERS, min_size=0, max_size=4).map(",".join)
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+POINT_FLAGS = st.one_of(
+    _flag("--mode", st.sampled_from(["analytic", "montecarlo", "exact"])),
+    _flag("--n-per-arm", st.one_of(INTS, BIG_INTS)),
+    _flag("--seed", SEEDS),
+    _flag("--format", st.sampled_from(["csv", "json", "xml"])),
+)
+SWEEP_FLAGS = st.one_of(
+    POINT_FLAGS,
+    _flag("--model", st.sampled_from(["classical", "quantum", "urn"])),
+    _flag("--n-points", INTS),
+    _flag("--exclusion-margin", NUMBERS),
+)
+SIMULATE_FLAGS = st.one_of(
+    _flag("--model", st.sampled_from(["classical", "quantum", "urn"])),
+    _flag("--params", PARAMS),
+    _flag("--n-per-arm", st.one_of(INTS, BIG_INTS)),
+    _flag("--seed", SEEDS),
+)
+OUT = st.sampled_from([None, "out.txt", "missing/out.txt", "."])
+
+
+def _command(name, positional, flags):
+    return st.tuples(
+        st.just([name]), positional, st.lists(flags, max_size=5).map(lambda fs: sum(fs, []))
+    ).map(lambda parts: sum(parts, []))
+
+
+ARGV = st.one_of(
+    _command("classical", st.lists(NUMBERS, min_size=0, max_size=4), POINT_FLAGS),
+    _command("quantum", st.lists(NUMBERS, min_size=0, max_size=3), POINT_FLAGS),
+    _command("sweep", st.just([]), SWEEP_FLAGS),
+    _command("simulate", st.just([]), SIMULATE_FLAGS),
+    st.lists(st.sampled_from(["estimate", "gnuplot", "frobnicate", "--help", "-h", "--seed"]), max_size=3),
+)
+
+COUNT_TOKENS = st.sampled_from(
+    ["0", "1", "5", "10", "100", "-3", "2.5", "x", "#", "# comment", "1" + "0" * 400, "١٠"]
+)
+SEPARATORS = st.sampled_from([" ", "\n", "\t", "\n# note\n"])
+COUNT_FILES = st.one_of(
+    st.lists(st.tuples(COUNT_TOKENS, SEPARATORS).map("".join), max_size=7).map(lambda ts: "".join(ts).encode()),
+    st.text(max_size=60).map(str.encode),
+    st.binary(max_size=60),
+)
+
+CSV_FIELDS = st.sampled_from(
+    ["classical", "quantum", "0.5", "0.2", "1", "0", "2", "-1", "nan", "inf", "", "true", "false", "x", '"', "a,b"]
+)
+CSV_ROWS = st.lists(st.lists(CSV_FIELDS, min_size=0, max_size=9), max_size=4)
+CSV_FILES = st.one_of(
+    st.tuples(st.booleans(), CSV_ROWS).map(
+        lambda t: "\n".join(",".join(r) for r in ([CSV_HEADER] if t[0] else []) + t[1]).encode()
+    ),
+    st.text(max_size=80).map(str.encode),
+    st.binary(max_size=80),
+)
+
+
+def run_main(argv, out=None):
+    """(exit code, stderr) of one in-process CLI call; any exception that
+    escapes main fails the test with its traceback."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        if out is not None:
+            argv += ["--out", os.path.join(tmp, out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+    return code, err.getvalue()
+
+
+def check(code, stderr):
+    assert code in (0, 2, 3), (code, stderr)
+    assert "Traceback" not in stderr, stderr
+
+
+def run_on_file(command, content, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        return run_main([command, path, *extra])
+
+
+@FUZZ
+@given(argv=ARGV, out=OUT)
+@example(argv=["simulate", "--model", "classical", "--params", "0.5,0.5,0.5", "--n-per-arm", str(10**30)], out=None)
+@example(argv=["sweep", "--model", "quantum", "--mode", "montecarlo", "--n-points", "7",
+               "--n-per-arm", "1000000000000"], out="out.txt")
+def test_argv_exit_codes(argv, out):
+    check(*run_main(argv, out))
+
+
+@FUZZ
+@given(content=COUNT_FILES, extra=st.sampled_from([[], ["--format", "json"]]))
+@example(content=b"10 4 2 1 3", extra=["--format", "json"])
+@example(content=("1" + "0" * 400 + " 1 0 0 0").encode(), extra=[])
+def test_count_file_exit_codes(content, extra):
+    check(*run_on_file("estimate", content, extra))
+
+
+@FUZZ
+@given(content=CSV_FILES)
+@example(content=(",".join(CSV_HEADER) + "\n" + "x" * 140_000 + ",1,1,1,1,1,true,true\n").encode())
+@example(content=(",".join(CSV_HEADER) + "\nclassical,0.5,0.5,0.2,0.5,0.6,true,true\n").encode())
+def test_csv_file_exit_codes(content):
+    check(*run_on_file("gnuplot", content, []))
+
+
+def test_missing_and_directory_paths_exit_3():
+    for command in ("estimate", "gnuplot"):
+        assert run_main([command, "{tmp}/no-such-file"])[0] == 3
+        assert run_main([command, "{tmp}"])[0] == 3
