@@ -27,7 +27,12 @@ whatever n and p_acc are:
 
 Every arm draws from its own RNG substream keyed by (seed, arm index), so
 arm results are independent of the order (or parallelism) in which arms are
-simulated, and identical configs give bit-identical results.
+simulated, and identical configs give bit-identical results.  A run hashes
+its seed once: ``SeedSequence(seed)`` yields 24 64-bit words, four per
+substream, and substream i (arms 0-3, baseline 4) seeds a fresh PCG64 with
+words 4(i+1) .. 4(i+1)+3.  The first four words are skipped because
+``default_rng(seed)`` starts from them, so no arm shares its stream with a
+plain generator built from the same seed.
 """
 
 from __future__ import annotations
@@ -36,10 +41,13 @@ import enum
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from .classical import ClassicalParams, marginal_term_rate
 from .errors import ArmStarvation, BoostUndefined, UndefinedQuantity
@@ -75,6 +83,18 @@ _BASELINE_INDEX = 4
 BASELINE_NAME = "baseline_relevance"
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a Python int; ValueError unless it is an integer (NumPy
+    integers included) in [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        seed = -1  # not an integer: rejected as out of range
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible run: model parameters, accepted docs per arm, seed."""
@@ -86,8 +106,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_per_arm < 1:
             raise ValueError("n_per_arm must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -201,8 +220,33 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     return tuple((min(1.0, max(0.0, a)), min(1.0, max(0.0, q))) for a, q in pairs)
 
 
+class _Words(ISeedSequence):
+    """Seed source that hands a bit generator precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly its four uint64 state words
+        if n_words != self.words.size or dtype is not np.uint64:
+            raise ValueError(f"expected a request for {self.words.size} uint64 words")
+        return self.words
+
+
+@functools.lru_cache(maxsize=1)
+def _run_words(seed: int) -> np.ndarray:
+    """The run's one seed hash, four words per substream after a skipped
+    first block.  Cached for the last seed: the five arms of a run share it.
+    """
+    n_words = 4 * (_BASELINE_INDEX + 2)
+    words = np.random.SeedSequence(seed).generate_state(n_words, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
 def _arm_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), index)))
+    start = 4 * (index + 1)
+    return np.random.Generator(PCG64(_Words(_run_words(seed)[start : start + 4])))
 
 
 def _run_arm(
@@ -236,6 +280,7 @@ def simulate_arm(
     """
     if not 1 <= n_per_arm <= _MAX_N_PER_ARM:
         raise ValueError(f"n_per_arm must lie in [1, {_MAX_N_PER_ARM}]")
+    seed = check_seed(seed)
     index = _BASELINE_INDEX if kind is None else _ARM_INDEX[kind]
     name = BASELINE_NAME if kind is None else kind.value
     p_acc, q_acc = _arm_rates(model)[index]

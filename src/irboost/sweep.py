@@ -30,7 +30,7 @@ from .classical import ClassicalParams
 from .errors import MalformedInput, UndefinedQuantity
 from .probcore import EPS_DENOM, ArmCounts, EstimateWithError, accardi_from_counts
 from .quantum import QuantumParams
-from .stream import simulate_classical, simulate_quantum
+from .stream import check_seed, simulate_classical, simulate_quantum
 
 Params = Union[ClassicalParams, QuantumParams]
 
@@ -247,7 +247,8 @@ def eval_point(
 ) -> ScatterPoint:
     """Evaluate one parameter point; semantics of a sweep of size 1."""
     if mode == "montecarlo":
-        return _montecarlo_point(params, n_per_arm, seed, exclusion_margin)
+        # checked up front: a point flagged on both counts never simulates
+        return _montecarlo_point(params, n_per_arm, check_seed(seed), exclusion_margin)
 
     accardi_ok, boost_ok = _flags(params, exclusion_margin)
     # looked up at call time, so wrappers on the model modules see each call

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ from irboost import (
     QuantumParams,
     empirical_boost,
     estimate_rate,
+    eval_point,
     simulate_arm,
     simulate_classical,
     simulate_quantum,
     total_probability,
 )
 from irboost.quantum import quantum_rates
-from irboost.stream import BASELINE_NAME
+from irboost.stream import BASELINE_NAME, _arm_rng, _run_words
 
 
 class TestDeterminism:
@@ -218,3 +221,74 @@ class TestJsonInterface:
             "kind": "quantum",
             "params": {"phi": 1.0, "alpha": 0.5},
         }
+
+
+class TestSeedRule:
+    # one rule for every Monte Carlo entry point: an integer in [0, 2**64)
+    BAD = (2**64, 2**70, -1, 1.5)
+
+    @pytest.mark.parametrize("seed", BAD)
+    def test_simulate_arm_rejects(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            simulate_arm(QuantumParams(1.0, 0.5), None, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD)
+    def test_simulate_quantum_rejects(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            simulate_quantum(QuantumParams(1.0, 0.5), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD)
+    def test_montecarlo_eval_point_rejects(self, seed):
+        # the second point is flagged on both counts and never simulates
+        for params in (QuantumParams(1.0, 0.5), QuantumParams(math.pi, math.pi / 2)):
+            with pytest.raises(ValueError, match="64 unsigned bits"):
+                eval_point(params, mode="montecarlo", n_per_arm=10, seed=seed)
+
+    def test_numpy_and_edge_integers_accepted(self):
+        params = ClassicalParams(0.4, 0.7, 0.3)
+        assert simulate_classical(params, 50, np.uint64(9)) == simulate_classical(params, 50, 9)
+        assert simulate_arm(params, None, 50, np.int32(9)) == simulate_arm(params, None, 50, 9)
+        simulate_classical(params, 50, 2**64 - 1)
+        simulate_classical(params, 50, 0)
+
+
+class TestArmKeying:
+    def test_isolated_arms_match_full_runs_interleaved(self):
+        # seeds interleaved and arms in reverse order: every lookup of the
+        # run's seed hash alternates between a cache miss and a hit
+        params = ClassicalParams(0.4, 0.7, 0.3)
+        seeds = (3, 2**64 - 1, 3, 0)
+        runs = {seed: simulate_classical(params, 200, seed) for seed in seeds}
+        for kind in [None, *reversed(ArmKind)]:
+            for seed in seeds:
+                want = runs[seed].baseline if kind is None else runs[seed].arms[kind]
+                assert simulate_arm(params, kind, 200, seed) == want
+
+    def test_five_distinct_substreams(self):
+        seed = 12345
+        states = [_arm_rng(seed, i).bit_generator.state["state"] for i in range(5)]
+        assert len({(s["state"], s["inc"]) for s in states}) == 5
+        firsts = {_arm_rng(seed, i).integers(2**63) for i in range(5)}
+        assert len(firsts) == 5
+        # no arm starts where a plain default_rng(seed) does
+        plain = np.random.default_rng(seed).bit_generator.state["state"]
+        assert plain not in states
+
+    def test_seed_words_read_only(self):
+        with pytest.raises(ValueError):
+            _run_words(7)[0] = 0
+
+    def test_threads_match_sequential(self):
+        # runs on two threads share the cached seed hash and arm rates; a
+        # short switch interval makes their arms interleave
+        params = QuantumParams(1.1, 0.6)
+        seeds = list(range(400))
+        want = [simulate_quantum(params, 300, seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda s: simulate_quantum(params, 300, s), seeds, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
