@@ -189,7 +189,30 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
+def _last_call(func):
+    """Memo of ``func``'s last argument and result, for the five arms of a run.
+
+    Not ``functools.lru_cache(maxsize=1)``: its dict gets a new key table
+    every few misses, so whether one run allocates that table depended on
+    how many runs came before it.  A miss here always allocates one pair.
+    The pair is swapped whole, so threads never see a stale result.
+    """
+    last = (object(), None)  # a key no argument equals
+
+    @functools.wraps(func)
+    def wrapper(arg):
+        nonlocal last
+        key, value = last
+        if key is arg or key == arg:
+            return value
+        value = func(arg)
+        last = (arg, value)
+        return value
+
+    return wrapper
+
+
+@_last_call
 def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     """(p_acc, q_acc) of every arm, indexed by substream index: the chance
     that a raw draw is accepted and that an accepted document is a success.
@@ -233,7 +256,7 @@ class _Words(ISeedSequence):
         return self.words
 
 
-@functools.lru_cache(maxsize=1)
+@_last_call
 def _run_words(seed: int) -> np.ndarray:
     """The run's one seed hash, four words per substream after a skipped
     first block.  Cached for the last seed: the five arms of a run share it.

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +23,7 @@ from irboost import (
     total_probability,
 )
 from irboost.quantum import quantum_rates
-from irboost.stream import BASELINE_NAME, _arm_rng, _run_words
+from irboost.stream import BASELINE_NAME, _arm_rates, _arm_rng, _run_words
 
 
 class TestDeterminism:
@@ -277,6 +278,28 @@ class TestArmKeying:
     def test_seed_words_read_only(self):
         with pytest.raises(ValueError):
             _run_words(7)[0] = 0
+
+    @pytest.mark.parametrize(
+        "memo, args",
+        [
+            (_run_words, [10**6 + i for i in range(12)]),
+            (_arm_rates, [ClassicalParams(0.3 + 0.01 * i, 0.7, 0.3) for i in range(12)]),
+        ],
+        ids=["run_words", "arm_rates"],
+    )
+    def test_memo_miss_keeps_the_same_every_time(self, memo, args):
+        # a run's memory peak must not depend on how many runs came before
+        # it; an lru_cache keeps a new key table every fifth miss
+        memo(args[0])
+        kept = []
+        for arg in args[1:]:
+            tracemalloc.start()
+            try:
+                memo(arg)
+                kept.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert len(set(kept[1:])) == 1, kept
 
     def test_threads_match_sequential(self):
         # runs on two threads share the cached seed hash and arm rates; a
