@@ -14,6 +14,7 @@ boost(posterior_bayes(params), p) and is tested against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
 from .probcore import EPS_DENOM, Probability, RateTriple, total_probability
@@ -23,6 +24,7 @@ from .probcore import EPS_DENOM, Probability, RateTriple, total_probability
 class ClassicalParams:
     """Urn-model parameter triple (p, q_r, q_n), each in [0, 1]."""
 
+    name: ClassVar[str] = "classical"  # model name in every output
     p: float
     q_r: float
     q_n: float

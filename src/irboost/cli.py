@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .classical import ClassicalParams
 from .errors import MalformedInput
+from .probcore import field_names, fields_dict
 from .quantum import QuantumParams
 from .stream import simulate_classical, simulate_quantum
 from .sweep import (
@@ -146,14 +147,12 @@ def _parse_params(model: str, text: str):
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise MalformedInput(f"bad --params value: {exc}") from None
+    cls = ClassicalParams if model == "classical" else QuantumParams
+    names = field_names(cls)
+    if len(values) != len(names):
+        raise MalformedInput(f"{cls.name} model needs {','.join(names)}")
     try:
-        if model == "classical":
-            if len(values) != 3:
-                raise MalformedInput("classical model needs p,q_r,q_n")
-            return ClassicalParams(*values)
-        if len(values) != 2:
-            raise MalformedInput("quantum model needs phi,alpha")
-        return QuantumParams(*values)
+        return cls(*values)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from None
 
@@ -194,15 +193,9 @@ def _run(args) -> None:
         points = [outcome.point]
         if args.format == "json":
             payload = points_to_json_dict(points, summarize(points))
-
-            def _est(e):
-                if e is None:
-                    return None
-                return {"estimate": e.estimate, "std_error": e.std_error, "n": e.n}
-
             payload["estimates"] = {
-                "accardi": _est(outcome.accardi),
-                "boost": _est(outcome.boost),
+                "accardi": fields_dict(outcome.accardi),
+                "boost": fields_dict(outcome.boost),
             }
             _emit(args, json.dumps(payload, indent=2) + "\n")
         else:

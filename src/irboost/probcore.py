@@ -15,8 +15,11 @@ Conventions
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import AccardiUndefined, BoostUndefined, EmptyArm
 
@@ -85,14 +88,32 @@ class EstimateWithError:
             raise ValueError("std_error must be nonnegative")
 
 
+@functools.cache
+def field_names(cls) -> "tuple[str, ...]":
+    """A dataclass's field names in declaration order (the JSON key order)."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def fields_dict(value) -> Optional[dict]:
+    """A dataclass instance's fields as a new dict; None stays None.
+
+    Read by name rather than through vars(): on CPython 3.11+ that attaches
+    a 64-byte dict to every instance it touches, one per sweep point.
+    """
+    if value is None:
+        return None
+    return {k: getattr(value, k) for k in field_names(type(value))}
+
+
 def accardi(rates: RateTriple) -> float:
     """Accardi invariant of a rate triple; an unbounded real.
 
     Raises AccardiUndefined when the two conditional rates coincide (the
-    term does not discriminate relevance).
+    term does not discriminate relevance): |P(X|R) - P(X|~R)| <= EPS_DENOM,
+    the models' rule at zero margin.
     """
     denom = rates.p_x_given_r - rates.p_x_given_n
-    if abs(denom) < EPS_DENOM:
+    if abs(denom) <= EPS_DENOM:
         raise AccardiUndefined(
             f"P(X|R) = P(X|~R) = {rates.p_x_given_r} within tolerance"
         )
@@ -102,12 +123,13 @@ def accardi(rates: RateTriple) -> float:
 def boost(p_r_given_x: float, p_r: float) -> float:
     """Relative precision boost (P(R|X) - P(R)) / P(R); may be negative.
 
-    Raises BoostUndefined when P(R) ~ 0 (no relevant documents exist, so a
-    relative boost is meaningless).
+    Raises BoostUndefined when P(R) <= EPS_DENOM (no relevant documents
+    exist, so a relative boost is meaningless), the models' rule at zero
+    margin.
     """
     post = Probability(p_r_given_x)
     prior = Probability(p_r)
-    if prior < EPS_DENOM:
+    if prior <= EPS_DENOM:
         raise BoostUndefined(f"baseline P(R)={p_r} is effectively zero")
     return (post - prior) / prior
 
@@ -122,6 +144,19 @@ def total_probability(
     v = qr * p + qn * (1.0 - p)
     # rounding can overshoot the closed interval by an ulp
     return Probability(min(1.0, max(0.0, v)))
+
+
+def with_error(estimate: float, n: int, *terms: float) -> EstimateWithError:
+    """``estimate`` with its first-order (delta-method) standard error.
+
+    Each term is one input's partial derivative times that input's standard
+    error; the inputs are independent, so the variance is the sum of the
+    squared terms, added in the order given.
+    """
+    var = 0.0
+    for t in terms:  # not sum(): its summation differs across Python versions
+        var += t**2
+    return EstimateWithError(estimate=estimate, std_error=math.sqrt(var), n=n)
 
 
 def estimate_rate(counts: ArmCounts) -> EstimateWithError:
@@ -150,20 +185,16 @@ def accardi_from_counts(
     est_r = estimate_rate(arm_r)
     est_n = estimate_rate(arm_n)
     est_x = estimate_rate(arm_direct)
-    rates = RateTriple(est_r.estimate, est_n.estimate, est_x.estimate)
-    a = accardi(rates)
+    a = accardi(RateTriple(est_r.estimate, est_n.estimate, est_x.estimate))
 
     denom = est_r.estimate - est_n.estimate
     d_dx = 1.0 / denom
     d_dr = -(est_x.estimate - est_n.estimate) / denom**2
     d_dn = (est_x.estimate - est_r.estimate) / denom**2
-    var = (
-        (d_dx * est_x.std_error) ** 2
-        + (d_dr * est_r.std_error) ** 2
-        + (d_dn * est_n.std_error) ** 2
-    )
-    return EstimateWithError(
-        estimate=a,
-        std_error=math.sqrt(var),
-        n=arm_r.n_total + arm_n.n_total + arm_direct.n_total,
+    return with_error(
+        a,
+        arm_r.n_total + arm_n.n_total + arm_direct.n_total,
+        d_dx * est_x.std_error,
+        d_dr * est_r.std_error,
+        d_dn * est_n.std_error,
     )

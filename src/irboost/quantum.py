@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
 from .probcore import EPS_DENOM, Probability, RateTriple, total_probability
@@ -39,6 +40,7 @@ def _clamp01(v: float) -> float:
 class QuantumParams:
     """Query-state angle phi and term-state angle alpha, radians in [0, pi]."""
 
+    name: ClassVar[str] = "quantum"  # model name in every output
     phi: float
     alpha: float
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -52,12 +51,14 @@ from numpy.random.bit_generator import ISeedSequence
 from .classical import ClassicalParams, marginal_term_rate
 from .errors import ArmStarvation, BoostUndefined, UndefinedQuantity
 from .probcore import (
-    EPS_DENOM,
     ArmCounts,
     EstimateWithError,
     RateTriple,
     accardi_from_counts,
+    boost,
     estimate_rate,
+    fields_dict,
+    with_error,
 )
 from .quantum import QuantumParams, quantum_rates
 
@@ -134,34 +135,15 @@ class SimResult:
     def to_json_dict(self) -> dict:
         """Stable JSON form; field names are part of the interface."""
         model = self.config.model
-        if isinstance(model, ClassicalParams):
-            cfg_model = {
-                "kind": "classical",
-                "params": {"p": model.p, "q_r": model.q_r, "q_n": model.q_n},
-            }
-        else:
-            cfg_model = {
-                "kind": "quantum",
-                "params": {"phi": model.phi, "alpha": model.alpha},
-            }
 
         def tally(t: Optional[ArmTally]):
             if t is None:
                 return None
-            return {
-                "n_total": t.counts.n_total,
-                "n_success": t.counts.n_success,
-                "draws_consumed": t.draws_consumed,
-            }
-
-        def est(e: Optional[EstimateWithError]):
-            if e is None:
-                return None
-            return {"estimate": e.estimate, "std_error": e.std_error, "n": e.n}
+            return {**fields_dict(t.counts), "draws_consumed": t.draws_consumed}
 
         return {
             "config": {
-                "model": cfg_model,
+                "model": {"kind": model.name, "params": fields_dict(model)},
                 "n_per_arm": self.config.n_per_arm,
                 "seed": int(self.config.seed),
             },
@@ -170,13 +152,9 @@ class SimResult:
             "derived": {
                 "rates": None
                 if self.rates is None
-                else {
-                    "p_x_given_r": float(self.rates.p_x_given_r),
-                    "p_x_given_n": float(self.rates.p_x_given_n),
-                    "p_x": float(self.rates.p_x),
-                },
-                "accardi": est(self.accardi_est),
-                "boost": est(self.boost_est),
+                else {k: float(v) for k, v in fields_dict(self.rates).items()},
+                "accardi": fields_dict(self.accardi_est),
+                "boost": fields_dict(self.boost_est),
             },
         }
 
@@ -342,9 +320,10 @@ def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
 
     t_e = arms[ArmKind.EXPAND_THEN_RELEVANCE]
     if t_e is not None and baseline is not None:
-        result_stub = SimResult(config, arms, baseline, rates, None, None)
         try:
-            boost_est = empirical_boost(result_stub, estimate_rate(baseline.counts))
+            boost_est = _boost_est(
+                estimate_rate(t_e.counts), estimate_rate(baseline.counts)
+            )
         except UndefinedQuantity:
             boost_est = None
 
@@ -367,6 +346,20 @@ def simulate_quantum(
     return _simulate(params, n_per_arm, seed)
 
 
+def _boost_est(
+    post: EstimateWithError, baseline_p_r: EstimateWithError
+) -> EstimateWithError:
+    """Boost of a posterior P(R|X) estimate over a baseline P(R) estimate."""
+    b = baseline_p_r.estimate
+    delta = boost(post.estimate, b)  # raises BoostUndefined if b <= EPS_DENOM
+    return with_error(
+        delta,
+        post.n + baseline_p_r.n,
+        post.std_error / b,
+        post.estimate * baseline_p_r.std_error / b**2,
+    )
+
+
 def empirical_boost(
     result: SimResult, baseline_p_r: EstimateWithError
 ) -> EstimateWithError:
@@ -378,14 +371,4 @@ def empirical_boost(
     tally = result.arms[ArmKind.EXPAND_THEN_RELEVANCE]
     if tally is None:
         raise BoostUndefined("expansion arm starved; no posterior estimate")
-    post = estimate_rate(tally.counts)
-    b = baseline_p_r.estimate
-    if b < EPS_DENOM:
-        raise BoostUndefined(f"baseline P(R)={b} is effectively zero")
-    delta = (post.estimate - b) / b
-    var = (post.std_error / b) ** 2 + (
-        post.estimate * baseline_p_r.std_error / b**2
-    ) ** 2
-    return EstimateWithError(
-        estimate=delta, std_error=math.sqrt(var), n=post.n + baseline_p_r.n
-    )
+    return _boost_est(estimate_rate(tally.counts), baseline_p_r)

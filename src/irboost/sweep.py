@@ -28,7 +28,15 @@ from . import classical as cm
 from . import quantum as qm
 from .classical import ClassicalParams
 from .errors import MalformedInput, UndefinedQuantity
-from .probcore import EPS_DENOM, ArmCounts, EstimateWithError, accardi_from_counts
+from .probcore import (
+    EPS_DENOM,
+    ArmCounts,
+    EstimateWithError,
+    accardi_from_counts,
+    field_names,
+    fields_dict,
+    with_error,
+)
 from .quantum import QuantumParams
 from .stream import check_seed, simulate_classical, simulate_quantum
 
@@ -44,6 +52,9 @@ CSV_HEADER = [
     "accardi_defined",
     "boost_defined",
 ]
+
+# param1..param3; a quantum point leaves param3 empty
+_EMPTY_PARAMS = ("", "", "")
 
 DEFAULT_EXCLUSION_MARGIN = 1e-6
 
@@ -68,6 +79,8 @@ class SweepConfig:
             raise ValueError("n_per_arm must be >= 1")
         if not 0.0 <= self.exclusion_margin < 0.5:
             raise ValueError("exclusion_margin must lie in [0, 0.5)")
+        if self.mode == "montecarlo":
+            check_seed(self.seed)
 
 
 class ScatterPoint(NamedTuple):
@@ -166,8 +179,8 @@ def _point_seed(seed: int, index: int) -> int:
 def _montecarlo_point(
     params: Params, n_per_arm: int, seed: int, margin: float
 ) -> ScatterPoint:
-    model = "classical" if isinstance(params, ClassicalParams) else "quantum"
     accardi_ok, boost_ok = _flags(params, margin)
+    model = params.name
     if not (accardi_ok or boost_ok):
         return ScatterPoint(model, params, math.nan, math.nan, False, False)
 
@@ -221,20 +234,16 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     if config.mode == "analytic":
         points = _analytic_points(config, mat)
     else:
-        points = []
-        for i in range(config.n_points):
-            if config.model == "classical":
-                params: Params = ClassicalParams(*mat[i])
-            else:
-                params = QuantumParams(*mat[i])
-            points.append(
-                _montecarlo_point(
-                    params,
-                    config.n_per_arm,
-                    _point_seed(config.seed, i),
-                    config.exclusion_margin,
-                )
+        cls = ClassicalParams if config.model == "classical" else QuantumParams
+        points = [
+            _montecarlo_point(
+                cls(*row),
+                config.n_per_arm,
+                _point_seed(config.seed, i),
+                config.exclusion_margin,
             )
+            for i, row in enumerate(mat)
+        ]
     return points, summarize(points)
 
 
@@ -317,7 +326,8 @@ def estimate_from_file(path) -> CountEstimate:
 
     A comes from the Accardi ratio on the three empirical rates; Delta from
     the Bayes-posterior route on (p, q_r, q_n) = (N_R/N, N_XR/N_R,
-    N_XN/(N-N_R)).  Undefined quantities are flagged, not fatal.
+    N_XN/(N-N_R)), defined where the classical model's rule at EPS_DENOM
+    says so.  Undefined quantities are flagged, not fatal.
     """
     n, n_r, n_xr, n_xn, n_x = parse_count_file(path)
     n_nr = n - n_r
@@ -335,9 +345,8 @@ def estimate_from_file(path) -> CountEstimate:
         acc = None
 
     bst: Optional[EstimateWithError] = None
-    denom = q_r * p + q_n * (1.0 - p)
-    if p >= EPS_DENOM and denom >= EPS_DENOM:
-        delta = q_r / denom - 1.0
+    if cm.boost_defined(p, q_r, q_n, EPS_DENOM):
+        denom = q_r * p + q_n * (1.0 - p)
         # delta method on independent binomial rates
         se_p = math.sqrt(p * (1.0 - p) / n)
         se_qr = math.sqrt(q_r * (1.0 - q_r) / n_r)
@@ -345,8 +354,9 @@ def estimate_from_file(path) -> CountEstimate:
         d_qr = q_n * (1.0 - p) / denom**2
         d_qn = -q_r * (1.0 - p) / denom**2
         d_p = -q_r * (q_r - q_n) / denom**2
-        var = (d_qr * se_qr) ** 2 + (d_qn * se_qn) ** 2 + (d_p * se_p) ** 2
-        bst = EstimateWithError(delta, math.sqrt(var), n)
+        bst = with_error(
+            q_r / denom - 1.0, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p
+        )
 
     point = ScatterPoint(
         model="empirical",
@@ -369,19 +379,11 @@ def _fmt(x: float) -> str:
 
 
 def _point_row(pt: ScatterPoint) -> list[str]:
-    if isinstance(pt.params, QuantumParams):
-        p1, p2, p3 = _fmt(pt.params.phi), _fmt(pt.params.alpha), ""
-    else:
-        p1, p2, p3 = (
-            _fmt(pt.params.p),
-            _fmt(pt.params.q_r),
-            _fmt(pt.params.q_n),
-        )
+    params = [_fmt(getattr(pt.params, k)) for k in field_names(type(pt.params))]
     return [
         pt.model,
-        p1,
-        p2,
-        p3,
+        *params,
+        *_EMPTY_PARAMS[len(params) :],
         _fmt(pt.a),
         _fmt(pt.delta),
         "true" if pt.accardi_defined else "false",
@@ -460,15 +462,7 @@ def points_to_json_dict(
         "points": [
             {
                 "model": pt.model,
-                "params": (
-                    {"phi": pt.params.phi, "alpha": pt.params.alpha}
-                    if isinstance(pt.params, QuantumParams)
-                    else {
-                        "p": pt.params.p,
-                        "q_r": pt.params.q_r,
-                        "q_n": pt.params.q_n,
-                    }
-                ),
+                "params": fields_dict(pt.params),
                 "a": _val(pt.a),
                 "delta": _val(pt.delta),
                 "accardi_defined": pt.accardi_defined,
@@ -478,13 +472,5 @@ def points_to_json_dict(
         ]
     }
     if summary is not None:
-        out["summary"] = {
-            "n_points": summary.n_points,
-            "n_defined": summary.n_defined,
-            "fraction_a_below_0": _val(summary.fraction_a_below_0),
-            "fraction_a_above_1": _val(summary.fraction_a_above_1),
-            "max_delta": _val(summary.max_delta),
-            "max_delta_classical_region": _val(summary.max_delta_classical_region),
-            "max_delta_violation": _val(summary.max_delta_violation),
-        }
+        out["summary"] = {k: _val(v) for k, v in fields_dict(summary).items()}
     return out

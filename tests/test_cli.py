@@ -123,6 +123,21 @@ class TestEstimateCommand:
             assert proc.stderr.startswith("irboost: error:")
             assert proc.stderr.count("\n") == 1
 
+    def test_boost_undefined_at_eps_denom(self, tmp_path):
+        # p = 1/10^9 = EPS_DENOM, where `irboost classical` flags Delta too
+        path = tmp_path / "counts.txt"
+        path.write_text("1000000000 1 1 500000000 500000001\n")
+        row = run_cli("estimate", str(path)).stdout.splitlines()[1]
+        assert row == (
+            "empirical,1.0000000000000001e-09,1,0.50000000050000004,"
+            "9.9999986169576602e-10,,true,false"
+        )
+        closed = run_cli("classical", "1e-09", "1", "0.5000000005").stdout
+        assert closed.splitlines()[1].endswith(",true,false")
+        doc = json.loads(run_cli("estimate", str(path), "--format", "json").stdout)
+        assert doc["points"][0]["boost_defined"] is False
+        assert doc["estimates"]["boost"] is None
+
     def test_missing_file_exits_3(self):
         proc = run_cli("estimate", "/no/such/file", check=False)
         assert proc.returncode == 3
@@ -140,3 +155,64 @@ class TestGnuplotCommand:
         assert lines[0] == "# a delta"
         for line in lines[1:]:
             assert len(line.split()) == 2
+
+
+class TestJsonKeyOrder:
+    """The JSON key order is part of the interface; the writers take it
+    from the dataclasses' field order, so a reordered field must fail here."""
+
+    ESTIMATE = ["estimate", "std_error", "n"]
+    TALLY = ["n_total", "n_success", "draws_consumed"]
+    SUMMARY = [
+        "n_points", "n_defined", "fraction_a_below_0", "fraction_a_above_1",
+        "max_delta", "max_delta_classical_region", "max_delta_violation",
+    ]
+    POINT = ["model", "params", "a", "delta", "accardi_defined", "boost_defined"]
+    PARAMS = {"classical": ["p", "q_r", "q_n"], "quantum": ["phi", "alpha"]}
+
+    @pytest.mark.parametrize(
+        "model,params", [("classical", "0.4,0.7,0.3"), ("quantum", "1.0,0.5")]
+    )
+    def test_simulate(self, model, params):
+        doc = json.loads(run_cli(
+            "simulate", "--model", model, "--params", params,
+            "--n-per-arm", "200", "--seed", "3",
+        ).stdout)
+        assert list(doc) == ["config", "arms", "baseline_relevance", "derived"]
+        assert list(doc["config"]) == ["model", "n_per_arm", "seed"]
+        assert list(doc["config"]["model"]) == ["kind", "params"]
+        assert list(doc["config"]["model"]["params"]) == self.PARAMS[model]
+        assert list(doc["arms"]) == [
+            "cond_on_relevant", "cond_on_non_relevant", "direct_term",
+            "expand_then_relevance",
+        ]
+        for tally in [*doc["arms"].values(), doc["baseline_relevance"]]:
+            assert list(tally) == self.TALLY
+        assert list(doc["derived"]) == ["rates", "accardi", "boost"]
+        assert list(doc["derived"]["rates"]) == ["p_x_given_r", "p_x_given_n", "p_x"]
+        assert list(doc["derived"]["accardi"]) == self.ESTIMATE
+        assert list(doc["derived"]["boost"]) == self.ESTIMATE
+
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_sweep(self, model):
+        doc = json.loads(run_cli(
+            "sweep", "--model", model, "--n-points", "3", "--seed", "3",
+            "--format", "json",
+        ).stdout)
+        assert list(doc) == ["points", "summary"]
+        for pt in doc["points"]:
+            assert list(pt) == self.POINT
+            assert list(pt["params"]) == self.PARAMS[model]
+        assert list(doc["summary"]) == self.SUMMARY
+
+    def test_estimate(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("1000 500 400 100 500\n")
+        doc = json.loads(run_cli("estimate", str(path), "--format", "json").stdout)
+        assert list(doc) == ["points", "summary", "estimates"]
+        assert list(doc["points"][0]) == self.POINT
+        assert list(doc["points"][0]["params"]) == self.PARAMS["classical"]
+        assert list(doc["summary"]) == self.SUMMARY
+        assert list(doc["estimates"]) == ["accardi", "boost"]
+        assert list(doc["estimates"]["accardi"]) == self.ESTIMATE
+        assert list(doc["estimates"]["boost"]) == self.ESTIMATE

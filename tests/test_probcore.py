@@ -12,11 +12,15 @@ from irboost import (
     Probability,
     RateTriple,
     accardi,
+    ClassicalParams,
     accardi_from_counts,
     boost,
+    boost_classical,
     estimate_rate,
+    posterior_bayes,
     total_probability,
 )
+from irboost.probcore import EPS_DENOM, with_error
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -58,6 +62,13 @@ class TestAccardi:
         with pytest.raises(AccardiUndefined):
             accardi(RateTriple(0.5, 0.5, 0.5))
 
+    def test_undefined_at_eps_denom(self):
+        # the models' rule: undefined iff |q_r - q_n| <= margin
+        with pytest.raises(AccardiUndefined):
+            accardi(RateTriple(EPS_DENOM, 0.0, 0.5))
+        above = math.nextafter(EPS_DENOM, 1.0)
+        assert accardi(RateTriple(above, 0.0, 0.0)) == 0.0
+
     # When the law of total probability holds, A recovers P(R).  The
     # tolerance is reachable only away from the q_r = q_n manifold: the
     # float rounding of the mixture is amplified by 1/|q_r - q_n|.
@@ -86,6 +97,36 @@ class TestBoost:
 
     def test_can_be_negative(self):
         assert boost(0.2, 0.5) < 0.0
+
+    def test_undefined_at_eps_denom_like_the_classical_model(self):
+        # p == EPS_DENOM: the two-step route and the closed form agree
+        params = ClassicalParams(EPS_DENOM, 1.0, 0.5)
+        with pytest.raises(BoostUndefined):
+            boost(posterior_bayes(params), params.p)
+        with pytest.raises(BoostUndefined):
+            boost_classical(params)
+        above = math.nextafter(EPS_DENOM, 1.0)
+        assert boost(above, above) == 0.0
+
+
+class TestWithError:
+    def test_pythagorean(self):
+        est = with_error(0.25, 7, 3.0, 4.0)
+        assert (est.estimate, est.std_error, est.n) == (0.25, 5.0, 7)
+
+    def test_no_terms_is_exact(self):
+        assert with_error(1.5, 3).std_error == 0.0
+
+    def test_sums_in_the_given_order(self):
+        # the squares are 1, e, e with e ~ 2**-53: 1 + e + e and e + e + 1
+        # round differently, and each caller's error stays bit-identical
+        # to its own left-to-right sum
+        t = (1.0, 2.0**-26.5, 2.0**-26.5)
+        forward = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
+        backward = math.sqrt(t[2] ** 2 + t[1] ** 2 + t[0] ** 2)
+        assert forward != backward
+        assert with_error(0.0, 1, *t).std_error == forward
+        assert with_error(0.0, 1, *t[::-1]).std_error == backward
 
 
 class TestTotalProbability:

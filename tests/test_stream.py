@@ -14,14 +14,17 @@ from irboost import (
     ClassicalParams,
     EstimateWithError,
     QuantumParams,
+    SweepConfig,
     empirical_boost,
     estimate_rate,
     eval_point,
     simulate_arm,
     simulate_classical,
     simulate_quantum,
+    sweep,
     total_probability,
 )
+from irboost.cli import main as cli_main
 from irboost.quantum import quantum_rates
 from irboost.stream import BASELINE_NAME, _arm_rates, _arm_rng, _run_words
 
@@ -175,6 +178,20 @@ class TestEmpiricalBoost:
         assert est.estimate == pytest.approx((exp_rate.estimate - 0.5) / 0.5)
         assert (fake.estimate - baseline.estimate) / baseline.estimate == pytest.approx(0.6)
 
+    def test_error_is_the_delta_method_sum(self):
+        res = self._result()
+        base = estimate_rate(res.baseline.counts)
+        post = estimate_rate(res.arms[ArmKind.EXPAND_THEN_RELEVANCE].counts)
+        b = base.estimate
+        var = (post.std_error / b) ** 2 + (post.estimate * base.std_error / b**2) ** 2
+        est = empirical_boost(res, base)
+        assert (est.estimate, est.std_error, est.n) == (
+            (post.estimate - b) / b,
+            math.sqrt(var),
+            post.n + base.n,
+        )
+        assert est == res.boost_est
+
     def test_equal_rates_zero(self):
         res = self._result()
         exp_rate = estimate_rate(res.arms[ArmKind.EXPAND_THEN_RELEVANCE].counts)
@@ -244,6 +261,27 @@ class TestSeedRule:
         for params in (QuantumParams(1.0, 0.5), QuantumParams(math.pi, math.pi / 2)):
             with pytest.raises(ValueError, match="64 unsigned bits"):
                 eval_point(params, mode="montecarlo", n_per_arm=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD)
+    def test_montecarlo_sweep_config_rejects(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            SweepConfig(
+                model="quantum", mode="montecarlo", n_points=2, n_per_arm=50, seed=seed
+            )
+
+    def test_analytic_sweep_keeps_its_seeds(self):
+        # an analytic sweep seeds numpy's default_rng, which takes any
+        # nonnegative integer
+        points, _ = sweep(SweepConfig(model="quantum", n_points=2, seed=2**70))
+        assert len(points) == 2
+
+    def test_montecarlo_sweep_cli_exits_2(self, capsys):
+        argv = ["sweep", "--model", "quantum", "--mode", "montecarlo",
+                "--n-points", "2", "--n-per-arm", "50", "--seed", str(2**70)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "irboost: error: seed must fit in 64 unsigned bits\n"
 
     def test_numpy_and_edge_integers_accepted(self):
         params = ClassicalParams(0.4, 0.7, 0.3)

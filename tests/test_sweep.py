@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from irboost.sweep import (
     CSV_HEADER,
     DEFAULT_EXCLUSION_MARGIN,
     ScatterPoint,
+    points_to_json_dict,
+    write_csv,
     write_gnuplot,
 )
 
@@ -189,6 +193,17 @@ class TestEstimateFromFile:
         with pytest.raises(MalformedInput):
             estimate_from_file(path)
 
+    def test_boost_flag_follows_the_classical_rule(self, tmp_path):
+        # p = N_R/N is exactly EPS_DENOM: undefined, as for the closed form
+        path = self.write(tmp_path, "1000000000 1 1 500000000 500000001\n")
+        outcome = estimate_from_file(path)
+        pt = outcome.point
+        assert pt.params == ClassicalParams(1e-9, 1.0, 0.5000000005)
+        assert pt.boost_defined is False
+        assert pt.boost_defined == eval_point(pt.params, exclusion_margin=0).boost_defined
+        assert outcome.boost is None and math.isnan(pt.delta)
+        assert pt.accardi_defined
+
     def test_multiline_with_comments(self, tmp_path):
         path = self.write(tmp_path, "# header\n1000 500\n# middle\n400 100 500\n")
         outcome = estimate_from_file(path)
@@ -231,6 +246,23 @@ class TestCsv:
             )
             assert re.accardi_defined == orig.accardi_defined
             assert re.boost_defined == orig.boost_defined
+
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_writers_attach_nothing_to_points(self, model):
+        # the writers read each field by name; reading vars() instead would
+        # leave a 64-byte dict on every point's params on CPython 3.11+
+        points, summary = sweep(SweepConfig(model, 2000, seed=1))
+        write_csv(points[:1], io.StringIO())
+        points_to_json_dict(points[:1], summary)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(points, io.StringIO())
+            points_to_json_dict(points, summary)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * len(points)
 
     def test_gnuplot_two_columns(self, tmp_path):
         import io
