@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
-from .probcore import EPS_DENOM, Probability, RateTriple, total_probability
+from .probcore import EPS_DENOM, Probability, total_probability
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,6 @@ def marginal_term_rate(params: ClassicalParams) -> Probability:
     return total_probability(params.q_r, params.q_n, params.p)
 
 
-def rate_triple(params: ClassicalParams) -> RateTriple:
-    """The (P(X|R), P(X|~R), P(X)) triple implied by the urn model."""
-    return RateTriple(params.q_r, params.q_n, marginal_term_rate(params))
-
-
 def posterior_bayes(params: ClassicalParams) -> Probability:
     """Bayes posterior P(R|X) = q_r p / (q_r p + q_n (1 - p)).
 
@@ -54,7 +49,7 @@ def posterior_bayes(params: ClassicalParams) -> Probability:
     term never occurs and conditioning on it is vacuous.
     """
     denom = params.q_r * params.p + params.q_n * (1.0 - params.p)
-    if denom < EPS_DENOM:
+    if denom <= EPS_DENOM:
         raise BoostUndefined(
             f"marginal P(X)={denom} is effectively zero for {params}"
         )
@@ -67,8 +62,8 @@ def accardi_defined(q_r, q_n, margin):
 
 
 def boost_defined(p, q_r, q_n, margin):
-    """Delta is defined where p > margin and P(X) >= EPS_DENOM; floats or arrays."""
-    return (p > margin) & (q_r * p + q_n * (1.0 - p) >= EPS_DENOM)
+    """Delta is defined where p > margin and P(X) > EPS_DENOM; floats or arrays."""
+    return (p > margin) & (q_r * p + q_n * (1.0 - p) > EPS_DENOM)
 
 
 def boost_closed_form(p, q_r, q_n):

@@ -14,17 +14,17 @@ Exit codes: 0 success, 2 malformed input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
 
-from .classical import ClassicalParams
 from .errors import MalformedInput
 from .probcore import field_names, fields_dict
-from .quantum import QuantumParams
 from .stream import simulate_classical, simulate_quantum
 from .sweep import (
     DEFAULT_EXCLUSION_MARGIN,
+    MODELS,
     SweepConfig,
     estimate_from_file,
     eval_point,
@@ -37,8 +37,9 @@ from .sweep import (
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser, fmt: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+def _common_flags(parser: argparse.ArgumentParser, fmt=True, seed=True) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if fmt:
         parser.add_argument(
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("sweep", help="uniform parameter sweep")
-    p.add_argument("--model", choices=("classical", "quantum"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--n-points", type=int, default=10_000)
     _point_flags(p)
     p.add_argument(
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("simulate", help="one Monte Carlo stream run (JSON)")
-    p.add_argument("--model", choices=("classical", "quantum"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument(
         "--params",
         required=True,
@@ -113,33 +114,36 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate", help="empirical point from a five-count text file"
     )
     p.add_argument("path", help="file with counts: N N_R N_XR N_XN N_X")
-    _common_flags(p)
+    _common_flags(p, seed=False)
 
     p = sub.add_parser(
         "gnuplot", help="reformat a sweep CSV as two-column 'a delta'"
     )
     p.add_argument("path", help="CSV file produced by the sweep subcommand")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    _common_flags(p, fmt=False, seed=False)
 
     return parser
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """sys.stdout, or the --out file; open it only once the result exists,
+    so a failing command leaves an existing file as it was."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _render_points(args, points, summary=None) -> str:
-    if args.format == "json":
-        return json.dumps(points_to_json_dict(points, summary), indent=2) + "\n"
-    import io
-
-    buf = io.StringIO()
-    write_csv(points, buf)
-    return buf.getvalue()
+def _write_points(args, points, summary=None, **extra) -> None:
+    if args.format == "csv":
+        with _output(args) as out:
+            write_csv(points, out)
+    else:  # rendered before the file opens, so its buffer adds nothing to the peak
+        text = json.dumps({**points_to_json_dict(points, summary), **extra}, indent=2)
+        with _output(args) as out:
+            out.write(text + "\n")
 
 
 def _parse_params(model: str, text: str):
@@ -147,26 +151,21 @@ def _parse_params(model: str, text: str):
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise MalformedInput(f"bad --params value: {exc}") from None
-    cls = ClassicalParams if model == "classical" else QuantumParams
+    cls = MODELS[model]
     names = field_names(cls)
     if len(values) != len(names):
         raise MalformedInput(f"{cls.name} model needs {','.join(names)}")
-    try:
-        return cls(*values)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from None
+    return cls(*values)
 
 
 def _run(args) -> None:
-    if args.command in ("classical", "quantum"):
-        if args.command == "classical":
-            params = ClassicalParams(args.p, args.q_r, args.q_n)
-        else:
-            params = QuantumParams(args.phi, args.alpha)
+    if args.command in MODELS:
+        cls = MODELS[args.command]
+        params = cls(*(getattr(args, k) for k in field_names(cls)))
         point = eval_point(
             params, mode=args.mode, n_per_arm=args.n_per_arm, seed=args.seed
         )
-        _emit(args, _render_points(args, [point]))
+        _write_points(args, [point])
 
     elif args.command == "sweep":
         config = SweepConfig(
@@ -177,8 +176,7 @@ def _run(args) -> None:
             n_per_arm=args.n_per_arm,
             exclusion_margin=args.exclusion_margin,
         )
-        points, summary = sweep(config)
-        _emit(args, _render_points(args, points, summary))
+        _write_points(args, *sweep(config))
 
     elif args.command == "simulate":
         params = _parse_params(args.model, args.params)
@@ -186,28 +184,22 @@ def _run(args) -> None:
             result = simulate_classical(params, args.n_per_arm, args.seed)
         else:
             result = simulate_quantum(params, args.n_per_arm, args.seed)
-        _emit(args, result.to_json() + "\n")
+        with _output(args) as out:
+            out.write(result.to_json() + "\n")
 
     elif args.command == "estimate":
         outcome = estimate_from_file(args.path)
         points = [outcome.point]
-        if args.format == "json":
-            payload = points_to_json_dict(points, summarize(points))
-            payload["estimates"] = {
-                "accardi": fields_dict(outcome.accardi),
-                "boost": fields_dict(outcome.boost),
-            }
-            _emit(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            _emit(args, _render_points(args, points))
+        estimates = {
+            "accardi": fields_dict(outcome.accardi),
+            "boost": fields_dict(outcome.boost),
+        }
+        _write_points(args, points, summarize(points), estimates=estimates)
 
     elif args.command == "gnuplot":
         points = read_csv(args.path)
-        import io
-
-        buf = io.StringIO()
-        write_gnuplot(points, buf)
-        _emit(args, buf.getvalue())
+        with _output(args) as out:
+            write_gnuplot(points, out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -215,7 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _run(args)
-    except (MalformedInput, ValueError) as exc:
+    except ValueError as exc:  # MalformedInput is a ValueError
         print(f"irboost: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

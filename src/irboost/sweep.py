@@ -42,6 +42,8 @@ from .stream import check_seed, simulate_classical, simulate_quantum
 
 Params = Union[ClassicalParams, QuantumParams]
 
+MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
+
 CSV_HEADER = [
     "model",
     "param1",
@@ -69,7 +71,7 @@ class SweepConfig:
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN
 
     def __post_init__(self):
-        if self.model not in ("classical", "quantum"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.mode not in ("analytic", "montecarlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -234,7 +236,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     if config.mode == "analytic":
         points = _analytic_points(config, mat)
     else:
-        cls = ClassicalParams if config.model == "classical" else QuantumParams
+        cls = MODELS[config.model]
         points = [
             _montecarlo_point(
                 cls(*row),
@@ -413,8 +415,16 @@ def _csv_rows(fh):
         raise MalformedInput(f"unreadable CSV: {exc}") from None
 
 
+_CSV_MODELS = {  # model column -> (parameter class, number of fields)
+    name: (cls, len(field_names(cls)))
+    for name, cls in {**MODELS, "empirical": ClassicalParams}.items()  # estimate rows
+}
+_CSV_FLAGS = {"true": True, "false": False}
+
+
 def read_csv(path) -> list[ScatterPoint]:
-    """Parse a file written by ``export_csv``; exact value round-trip."""
+    """Parse a file written by ``export_csv``, exact value round-trip; a row
+    it never writes is MalformedInput."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _csv_rows(fh)
@@ -425,18 +435,19 @@ def read_csv(path) -> list[ScatterPoint]:
             if len(row) != len(CSV_HEADER):
                 raise MalformedInput(f"bad CSV row: {row!r}")
             model, p1, p2, p3, a, delta, a_ok, b_ok = row
-            if model == "quantum":
-                params: Params = QuantumParams(float(p1), float(p2))
-            else:
-                params = ClassicalParams(float(p1), float(p2), float(p3))
+            cls, n = _CSV_MODELS.get(model, (None, 0))
+            a_flag, b_flag = _CSV_FLAGS.get(a_ok), _CSV_FLAGS.get(b_ok)
+            # n is 2 or 3, so only param3 can lie past a model's parameters
+            if cls is None or (p3 and n < 3) or a_flag is None or b_flag is None:
+                raise MalformedInput(f"bad CSV row: {row!r}")
             points.append(
                 ScatterPoint(
                     model,
-                    params,
+                    cls(*(p1, p2, p3)[:n]),  # the parameter classes apply float()
                     float(a) if a else math.nan,
                     float(delta) if delta else math.nan,
-                    a_ok == "true",
-                    b_ok == "true",
+                    a_flag,
+                    b_flag,
                 )
             )
     return points

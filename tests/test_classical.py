@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irboost import (
+    EPS_DENOM,
     AccardiUndefined,
     BoostUndefined,
     ClassicalParams,
@@ -12,6 +15,7 @@ from irboost import (
     accardi_classical,
     boost,
     boost_classical,
+    eval_point,
     marginal_term_rate,
     posterior_bayes,
     total_probability,
@@ -74,6 +78,19 @@ class TestBoostClassical:
     def test_zero_prior_undefined(self):
         with pytest.raises(BoostUndefined):
             boost_classical(ClassicalParams(0.0, 0.5, 0.1))
+
+    def test_undefined_where_marginal_equals_eps_denom(self):
+        # P(X) = 0.5 * 2e-9 is EPS_DENOM exactly: undefined, as every guard
+        # treats a value equal to its bound
+        params = ClassicalParams(0.5, 2e-9, 0.0)
+        assert marginal_term_rate(params) == EPS_DENOM
+        with pytest.raises(BoostUndefined):
+            boost_classical(params)
+        with pytest.raises(BoostUndefined):
+            boost(posterior_bayes(params), params.p)
+        point = eval_point(params, exclusion_margin=0.0)
+        assert point.boost_defined is False
+        assert math.isnan(point.delta)
 
     def test_prior_one_already_maximal(self):
         assert boost_classical(ClassicalParams(1.0, 0.7, 0.3)) == 0.0

@@ -1,8 +1,14 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from irboost.cli import main
+from irboost.sweep import CSV_HEADER
+
+DATA = pathlib.Path(__file__).parent / "data" / "cli"
 
 
 def run_cli(*args, check=True):
@@ -142,6 +148,12 @@ class TestEstimateCommand:
         proc = run_cli("estimate", "/no/such/file", check=False)
         assert proc.returncode == 3
 
+    def test_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(DATA / "counts.txt"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestGnuplotCommand:
     def test_two_column_output(self, tmp_path):
@@ -155,6 +167,65 @@ class TestGnuplotCommand:
         assert lines[0] == "# a delta"
         for line in lines[1:]:
             assert len(line.split()) == 2
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "bogus,0.5,0.5,0.5,1,2,true,true",  # unknown model
+            "classical,0.5,0.5,0.2,1,2,yes,true",  # flag not true/false
+            "quantum,1,0.5,0.5,1,2,true,true",  # quantum has no param3
+        ],
+    )
+    def test_rejects_rows_export_csv_never_writes(self, row, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+        assert main(["gnuplot", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("irboost: error: bad CSV row:")
+        assert err.count("\n") == 1
+
+
+# expected bytes made by the CLI before its output path was rewritten; the
+# quantum sweep (np.cos) and Monte Carlo (NumPy variate algorithms) are left
+# out because their digits may change with the NumPy release
+PINNED = [
+    ("classical.csv", ["classical", "0.5", "0.8", "0.2"]),
+    ("classical.json", ["classical", "0.5", "0.8", "0.2", "--format", "json"]),
+    ("quantum.json", ["quantum", "1.0472", "0.7854", "--format", "json"]),
+    ("sweep.csv", ["sweep", "--model", "classical", "--n-points", "5", "--seed", "1"]),
+    (
+        "sweep.json",
+        ["sweep", "--model", "classical", "--n-points", "5", "--seed", "1", "--format", "json"],
+    ),
+    ("estimate.csv", ["estimate", str(DATA / "counts.txt")]),
+    ("estimate.json", ["estimate", str(DATA / "counts.txt"), "--format", "json"]),
+    ("gnuplot.txt", ["gnuplot", str(DATA / "sweep.csv")]),
+    ("gnuplot-estimate.txt", ["gnuplot", str(DATA / "estimate.csv")]),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name,argv", PINNED, ids=[name for name, _ in PINNED])
+    def test_stdout_and_out_file(self, name, argv, tmp_path, capsys):
+        expected = (DATA / name).read_bytes()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "classical", "--n-points", "0"],
+            ["gnuplot", str(DATA / "counts.txt")],
+        ],
+    )
+    def test_failure_leaves_out_file(self, argv, tmp_path):
+        out = tmp_path / "out"
+        out.write_bytes(b"previous\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous\n"
 
 
 class TestJsonKeyOrder:

@@ -84,8 +84,19 @@ CSV_FIELDS = st.sampled_from(
     ["classical", "quantum", "0.5", "0.2", "1", "0", "2", "-1", "nan", "inf", "", "true", "false", "x", '"', "a,b"]
 )
 CSV_ROWS = st.lists(st.lists(CSV_FIELDS, min_size=0, max_size=9), max_size=4)
+# eight-field rows near what export_csv writes: known and unknown models,
+# empty or stray parameter columns, flags other than true/false
+CSV_SHAPED_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["classical", "quantum", "empirical", "bogus", ""]),
+        st.lists(st.sampled_from(["0.5", "0.2", "1", ""]), min_size=3, max_size=3),
+        st.lists(st.sampled_from(["0.5", "-1", "2", ""]), min_size=2, max_size=2),
+        st.lists(st.sampled_from(["true", "false", "yes", "True", ""]), min_size=2, max_size=2),
+    ).map(lambda t: [t[0], *t[1], *t[2], *t[3]]),
+    max_size=4,
+)
 CSV_FILES = st.one_of(
-    st.tuples(st.booleans(), CSV_ROWS).map(
+    st.tuples(st.booleans(), st.one_of(CSV_ROWS, CSV_SHAPED_ROWS)).map(
         lambda t: "\n".join(",".join(r) for r in ([CSV_HEADER] if t[0] else []) + t[1]).encode()
     ),
     st.text(max_size=80).map(str.encode),
@@ -143,8 +154,23 @@ def test_count_file_exit_codes(content, extra):
 @given(content=CSV_FILES)
 @example(content=(",".join(CSV_HEADER) + "\n" + "x" * 140_000 + ",1,1,1,1,1,true,true\n").encode())
 @example(content=(",".join(CSV_HEADER) + "\nclassical,0.5,0.5,0.2,0.5,0.6,true,true\n").encode())
+@example(content=(",".join(CSV_HEADER) + "\nbogus,0.5,0.5,0.5,1,2,yes,true\n").encode())
+@example(content=(",".join(CSV_HEADER) + "\nquantum,1,0.5,0.5,1,2,true,true\n").encode())
 def test_csv_file_exit_codes(content):
     check(*run_on_file("gnuplot", content, []))
+
+
+@FUZZ
+@given(rows=CSV_SHAPED_ROWS)
+def test_csv_rows_export_csv_could_write_are_read(rows):
+    def writable(model, p1, p2, p3, a, delta, a_ok, b_ok):
+        n = {"classical": 3, "empirical": 3, "quantum": 2}.get(model)
+        params_ok = n is not None and all((p1, p2, p3)[:n]) and not any((p1, p2, p3)[n:])
+        return params_ok and {a_ok, b_ok} <= {"true", "false"}
+
+    content = "\n".join(",".join(r) for r in [CSV_HEADER, *rows]).encode()
+    code, stderr = run_on_file("gnuplot", content, [])
+    assert code == (0 if all(writable(*r) for r in rows) else 2), stderr
 
 
 def test_missing_and_directory_paths_exit_3():
