@@ -8,7 +8,7 @@ Subcommands:
   estimate FILE         empirical (A, Delta) from a five-count file
   gnuplot FILE          reformat a sweep CSV as two-column 'a delta' text
 
-Exit codes: 0 success, 2 malformed input, 3 I/O failure.
+Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .stream import simulate_classical, simulate_quantum
 from .sweep import (
     DEFAULT_EXCLUSION_MARGIN,
     MODELS,
+    MODES,
     SweepConfig,
     estimate_from_file,
     eval_point,
@@ -53,7 +54,7 @@ def _common_flags(parser: argparse.ArgumentParser, fmt=True, seed=True) -> None:
 def _point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
-        choices=("analytic", "montecarlo"),
+        choices=MODES,
         default="analytic",
         help="closed forms or Monte Carlo estimation (default analytic)",
     )
@@ -207,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _run(args)
-    except ValueError as exc:  # MalformedInput is a ValueError
+    except (ValueError, MemoryError) as exc:  # MalformedInput is a ValueError
         print(f"irboost: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

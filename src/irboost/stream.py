@@ -37,6 +37,7 @@ plain generator built from the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import json
@@ -69,6 +70,7 @@ ModelParams = Union[ClassicalParams, QuantumParams]
 MAX_DRAWS_FACTOR = 10_000
 # the budget must fit the 64-bit count the variate generators take
 _MAX_N_PER_ARM = (2**63 - 1) // MAX_DRAWS_FACTOR
+_N_PER_ARM_RULE = f"n_per_arm must be an integer in [1, {_MAX_N_PER_ARM}]"
 
 
 class ArmKind(enum.Enum):
@@ -84,16 +86,26 @@ _BASELINE_INDEX = 4
 BASELINE_NAME = "baseline_relevance"
 
 
-def check_seed(seed) -> int:
-    """``seed`` as a Python int; ValueError unless it is an integer (NumPy
-    integers included) in [0, 2**64)."""
+def _check_int(value, low: int, high: int, message: str) -> int:
+    """``value`` as a Python int; ValueError(message) unless it is an
+    integer (NumPy integers included) in [low, high]."""
     try:
-        seed = operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        seed = -1  # not an integer: rejected as out of range
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    return seed
+        value = low - 1  # not an integer: rejected as out of range
+    if not low <= value <= high:
+        raise ValueError(message)
+    return value
+
+
+def check_seed(seed) -> int:
+    """``seed`` as a Python int, if it is an integer in [0, 2**64)."""
+    return _check_int(seed, 0, 2**64 - 1, "seed must fit in 64 unsigned bits")
+
+
+def check_n_per_arm(n_per_arm) -> int:
+    """``n_per_arm`` as a Python int, if it is an integer in [1, _MAX_N_PER_ARM]."""
+    return _check_int(n_per_arm, 1, _MAX_N_PER_ARM, _N_PER_ARM_RULE)
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_per_arm < 1:
-            raise ValueError("n_per_arm must be >= 1")
+        check_n_per_arm(self.n_per_arm)
         check_seed(self.seed)
 
 
@@ -144,15 +155,13 @@ class SimResult:
         return {
             "config": {
                 "model": {"kind": model.name, "params": fields_dict(model)},
-                "n_per_arm": self.config.n_per_arm,
+                "n_per_arm": int(self.config.n_per_arm),
                 "seed": int(self.config.seed),
             },
             "arms": {kind.value: tally(self.arms[kind]) for kind in ArmKind},
             BASELINE_NAME: tally(self.baseline),
             "derived": {
-                "rates": None
-                if self.rates is None
-                else {k: float(v) for k, v in fields_dict(self.rates).items()},
+                "rates": fields_dict(self.rates),  # Probability dumps as a float
                 "accardi": fields_dict(self.accardi_est),
                 "boost": fields_dict(self.boost_est),
             },
@@ -241,7 +250,7 @@ def _run_words(seed: int) -> np.ndarray:
     """
     n_words = 4 * (_BASELINE_INDEX + 2)
     words = np.random.SeedSequence(seed).generate_state(n_words, np.uint64)
-    words.flags.writeable = False
+    words.setflags(write=False)
     return words
 
 
@@ -279,8 +288,7 @@ def simulate_arm(
     arm simulated alone is bit-identical to the same arm inside
     ``simulate_classical`` / ``simulate_quantum``.
     """
-    if not 1 <= n_per_arm <= _MAX_N_PER_ARM:
-        raise ValueError(f"n_per_arm must lie in [1, {_MAX_N_PER_ARM}]")
+    n_per_arm = check_n_per_arm(n_per_arm)
     seed = check_seed(seed)
     index = _BASELINE_INDEX if kind is None else _ARM_INDEX[kind]
     name = BASELINE_NAME if kind is None else kind.value
@@ -288,44 +296,40 @@ def simulate_arm(
     return _run_arm(_arm_rng(seed, index), p_acc, q_acc, n_per_arm, name)
 
 
+def _tally(
+    model: ModelParams, kind: Optional[ArmKind], n_per_arm: int, seed: int
+) -> Optional[ArmTally]:
+    """``simulate_arm``'s tally, or None if the arm starved."""
+    try:
+        return simulate_arm(model, kind, n_per_arm, seed)
+    except ArmStarvation:
+        return None
+
+
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-
-    def tally(kind: Optional[ArmKind]) -> Optional[ArmTally]:
-        try:
-            return simulate_arm(model, kind, n_per_arm, seed)
-        except ArmStarvation:
-            return None
-
-    arms = {kind: tally(kind) for kind in ArmKind}
-    baseline = tally(None)
+    arms = {kind: _tally(model, kind, n_per_arm, seed) for kind in ArmKind}
+    baseline = _tally(model, None, n_per_arm, seed)
 
     rates = None
     accardi_est = None
     boost_est = None
 
-    t_r = arms[ArmKind.COND_ON_RELEVANT]
-    t_n = arms[ArmKind.COND_ON_NON_RELEVANT]
-    t_x = arms[ArmKind.DIRECT_TERM]
+    t_r, t_n, t_x, t_e = arms.values()  # in ArmKind order
     if t_r is not None and t_n is not None and t_x is not None:
         rates = RateTriple(
             estimate_rate(t_r.counts).estimate,
             estimate_rate(t_n.counts).estimate,
             estimate_rate(t_x.counts).estimate,
         )
-        try:
+        with contextlib.suppress(UndefinedQuantity):
             accardi_est = accardi_from_counts(t_r.counts, t_n.counts, t_x.counts)
-        except UndefinedQuantity:
-            accardi_est = None
 
-    t_e = arms[ArmKind.EXPAND_THEN_RELEVANCE]
     if t_e is not None and baseline is not None:
-        try:
+        with contextlib.suppress(UndefinedQuantity):
             boost_est = _boost_est(
                 estimate_rate(t_e.counts), estimate_rate(baseline.counts)
             )
-        except UndefinedQuantity:
-            boost_est = None
 
     return SimResult(config, arms, baseline, rates, accardi_est, boost_est)
 

@@ -38,11 +38,12 @@ from .probcore import (
     with_error,
 )
 from .quantum import QuantumParams
-from .stream import check_seed, simulate_classical, simulate_quantum
+from .stream import check_n_per_arm, check_seed, simulate_classical, simulate_quantum
 
 Params = Union[ClassicalParams, QuantumParams]
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
+MODES = ("analytic", "montecarlo")
 
 CSV_HEADER = [
     "model",
@@ -66,21 +67,19 @@ class SweepConfig:
     model: str  # "classical" | "quantum"
     n_points: int
     seed: int
-    mode: str = "analytic"  # "analytic" | "montecarlo"
+    mode: str = "analytic"  # one of MODES
     n_per_arm: int = 10_000
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.mode not in ("analytic", "montecarlo"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
-        if self.n_per_arm < 1:
-            raise ValueError("n_per_arm must be >= 1")
-        if not 0.0 <= self.exclusion_margin < 0.5:
-            raise ValueError("exclusion_margin must lie in [0, 0.5)")
+        check_n_per_arm(self.n_per_arm)
+        _margin(self.exclusion_margin)
         if self.mode == "montecarlo":
             check_seed(self.seed)
 
@@ -136,37 +135,41 @@ def sample_params(config: SweepConfig) -> np.ndarray:
     return rng.random((config.n_points, 2)) * math.pi
 
 
-def _flags(params, margin: float):
-    """(accardi_defined, boost_defined) by the models' rules at the exclusion
-    margin (at least EPS_DENOM), for one point or, row by row, for an
-    analytic sweep's 3- or 2-column parameter matrix."""
-    m = margin if margin > EPS_DENOM else EPS_DENOM
+def _margin(margin: float) -> float:
+    """The margin the models' rules take for an exclusion margin: at least
+    EPS_DENOM.  ValueError unless the exclusion margin lies in [0, 0.5)."""
+    if not 0.0 <= margin < 0.5:
+        raise ValueError("exclusion_margin must lie in [0, 0.5)")
+    return margin if margin > EPS_DENOM else EPS_DENOM
+
+
+def _flags(params: Params, margin: float):
+    """(accardi_defined, boost_defined) of one point by its model's rules at
+    the exclusion margin."""
+    m = _margin(margin)
     if isinstance(params, QuantumParams):
         cos_phi, cos_alpha = math.cos(params.phi), math.cos(params.alpha)
         return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
     if isinstance(params, ClassicalParams):
         p, q_r, q_n = params.p, params.q_r, params.q_n
-    elif not isinstance(params, np.ndarray):
-        raise TypeError(f"unsupported parameters: {params!r}")
-    elif params.shape[1] == 2:
-        cos_phi, cos_alpha = np.cos(params[:, 0]), np.cos(params[:, 1])
-        return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
-    else:
-        p, q_r, q_n = params[:, 0], params[:, 1], params[:, 2]
-    return cm.accardi_defined(q_r, q_n, m), cm.boost_defined(p, q_r, q_n, m)
+        return cm.accardi_defined(q_r, q_n, m), cm.boost_defined(p, q_r, q_n, m)
+    raise TypeError(f"unsupported parameters: {params!r}")
 
 
 def _analytic_points(config: SweepConfig, mat: np.ndarray) -> list[ScatterPoint]:
-    a_ok, d_ok = _flags(mat, config.exclusion_margin)
+    m = _margin(config.exclusion_margin)
     with np.errstate(divide="ignore", invalid="ignore"):
         if config.model == "classical":
             p, q_r, q_n = mat[:, 0], mat[:, 1], mat[:, 2]
+            a_ok = cm.accardi_defined(q_r, q_n, m)
+            d_ok = cm.boost_defined(p, q_r, q_n, m)
             a = np.where(a_ok, p, np.nan)
             delta = np.where(d_ok, cm.boost_closed_form(p, q_r, q_n), np.nan)
             params = [ClassicalParams(*row) for row in zip(p, q_r, q_n)]
         else:
             phi, alpha = mat[:, 0], mat[:, 1]
             cp, ca = np.cos(phi), np.cos(alpha)
+            a_ok, d_ok = qm.accardi_defined(ca, m), qm.boost_defined(cp, m)
             a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
             delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
             params = [QuantumParams(*row) for row in zip(phi, alpha)]
@@ -182,19 +185,16 @@ def _montecarlo_point(
     params: Params, n_per_arm: int, seed: int, margin: float
 ) -> ScatterPoint:
     accardi_ok, boost_ok = _flags(params, margin)
-    model = params.name
-    if not (accardi_ok or boost_ok):
-        return ScatterPoint(model, params, math.nan, math.nan, False, False)
-
-    if isinstance(params, ClassicalParams):
-        result = simulate_classical(params, n_per_arm, seed)
-    else:
-        result = simulate_quantum(params, n_per_arm, seed)
-
-    a_est = result.accardi_est if accardi_ok else None
-    b_est = result.boost_est if boost_ok else None
+    a_est = b_est = None
+    if accardi_ok or boost_ok:
+        if isinstance(params, ClassicalParams):
+            result = simulate_classical(params, n_per_arm, seed)
+        else:
+            result = simulate_quantum(params, n_per_arm, seed)
+        a_est = result.accardi_est if accardi_ok else None
+        b_est = result.boost_est if boost_ok else None
     return ScatterPoint(
-        model,
+        params.name,
         params,
         a_est.estimate if a_est is not None else math.nan,
         b_est.estimate if b_est is not None else math.nan,
@@ -257,9 +257,13 @@ def eval_point(
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN,
 ) -> ScatterPoint:
     """Evaluate one parameter point; semantics of a sweep of size 1."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "montecarlo":
         # checked up front: a point flagged on both counts never simulates
-        return _montecarlo_point(params, n_per_arm, check_seed(seed), exclusion_margin)
+        return _montecarlo_point(
+            params, check_n_per_arm(n_per_arm), check_seed(seed), exclusion_margin
+        )
 
     accardi_ok, boost_ok = _flags(params, exclusion_margin)
     # looked up at call time, so wrappers on the model modules see each call

@@ -81,6 +81,20 @@ class TestSweepCommand:
         run_cli(*args, "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_unallocatable_sweep_exits_2(self, mode, model, tmp_path, capsys):
+        # 10**16 points need 142-213 PiB, beyond any address space, so the
+        # parameter matrix fails to allocate without allocating anything
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--model", model, "--mode", mode,
+                "--n-points", str(10**16), "--out", str(out)]
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("irboost: error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_json_output(self):

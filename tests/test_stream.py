@@ -14,6 +14,7 @@ from irboost import (
     ClassicalParams,
     EstimateWithError,
     QuantumParams,
+    SimConfig,
     SweepConfig,
     empirical_boost,
     estimate_rate,
@@ -26,7 +27,13 @@ from irboost import (
 )
 from irboost.cli import main as cli_main
 from irboost.quantum import quantum_rates
-from irboost.stream import BASELINE_NAME, _arm_rates, _arm_rng, _run_words
+from irboost.stream import (
+    _MAX_N_PER_ARM,
+    BASELINE_NAME,
+    _arm_rates,
+    _arm_rng,
+    _run_words,
+)
 
 
 class TestDeterminism:
@@ -289,6 +296,55 @@ class TestSeedRule:
         assert simulate_arm(params, None, 50, np.int32(9)) == simulate_arm(params, None, 50, 9)
         simulate_classical(params, 50, 2**64 - 1)
         simulate_classical(params, 50, 0)
+
+
+class TestNPerArmRule:
+    # one rule for every Monte Carlo entry point: an integer in
+    # [1, (2**63 - 1) // MAX_DRAWS_FACTOR]
+    BAD = (1.5, 0, _MAX_N_PER_ARM + 1)
+    MESSAGE = "n_per_arm must be an integer in"
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_sim_config_rejects(self, n):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            SimConfig(QuantumParams(1.0, 0.5), n, seed=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_simulate_arm_rejects(self, n):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulate_arm(QuantumParams(1.0, 0.5), None, n, seed=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_simulate_rejects(self, n):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulate_quantum(QuantumParams(1.0, 0.5), n, seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            simulate_classical(ClassicalParams(0.4, 0.7, 0.3), n, seed=0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_montecarlo_eval_point_rejects(self, n):
+        # the second point is flagged on both counts and never simulates
+        for params in (QuantumParams(1.0, 0.5), QuantumParams(math.pi, math.pi / 2)):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                eval_point(params, mode="montecarlo", n_per_arm=n, seed=0)
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("n", BAD)
+    def test_sweep_config_rejects(self, n, mode):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            SweepConfig(model="quantum", mode=mode, n_points=2, n_per_arm=n, seed=0)
+
+    def test_numpy_and_edge_integers_accepted(self):
+        params = ClassicalParams(0.4, 0.7, 0.3)
+        want = simulate_classical(params, 50, 9)
+        got = simulate_classical(params, np.int64(50), 9)
+        assert got.arms == want.arms and got.to_json() == want.to_json()
+        assert simulate_arm(params, None, np.uint16(50), 9) == want.baseline
+        assert eval_point(params, mode="montecarlo", n_per_arm=np.int32(50), seed=9) == (
+            eval_point(params, mode="montecarlo", n_per_arm=50, seed=9)
+        )
+        SweepConfig(model="classical", mode="montecarlo", n_points=1, n_per_arm=np.int8(1), seed=0)
+        simulate_arm(params, None, _MAX_N_PER_ARM, 9)
 
 
 class TestArmKeying:

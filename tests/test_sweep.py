@@ -153,6 +153,35 @@ class TestEvalPoint:
         assert pt.boost_defined
 
 
+class TestEvalPointRules:
+    # eval_point is a sweep of size 1: it rejects what SweepConfig rejects
+    POINTS = (ClassicalParams(0.5, 0.8, 0.2), QuantumParams(1.0, 0.5))
+
+    @pytest.mark.parametrize("mode", ["bogus", "exact", "Analytic", ""])
+    def test_unknown_mode_rejected(self, mode):
+        for params in self.POINTS:
+            with pytest.raises(ValueError, match="unknown mode"):
+                eval_point(params, mode=mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            SweepConfig("quantum", 2, seed=0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("margin", [-1, 0.5, 5.0, math.nan])
+    def test_bad_margin_rejected(self, margin, mode):
+        # the second quantum point is flagged on both counts at any margin
+        for params in (*self.POINTS, QuantumParams(math.pi, math.pi / 2)):
+            with pytest.raises(ValueError, match="exclusion_margin"):
+                eval_point(params, mode=mode, n_per_arm=50, exclusion_margin=margin)
+        with pytest.raises(ValueError, match="exclusion_margin"):
+            SweepConfig("quantum", 2, seed=0, mode=mode, exclusion_margin=margin)
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("margin", [0, 0.0, 1e-12, 0.49])
+    def test_edge_margins_accepted(self, margin, mode):
+        for params in self.POINTS:
+            eval_point(params, mode=mode, n_per_arm=50, exclusion_margin=margin)
+
+
 class TestEstimateFromFile:
     def write(self, tmp_path, text):
         path = tmp_path / "counts.txt"
