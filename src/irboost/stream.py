@@ -84,9 +84,13 @@ class ArmKind(enum.Enum):
 _ARM_INDEX = {kind: i for i, kind in enumerate(ArmKind)}
 _BASELINE_INDEX = 4
 BASELINE_NAME = "baseline_relevance"
+# the arms whose rates the Accardi invariant takes, in RateTriple order
+_ACCARDI_ARMS = (
+    ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM
+)
 
 
-def _check_int(value, low: int, high: int, message: str) -> int:
+def _check_int(value, low: int, high: float, message: str) -> int:
     """``value`` as a Python int; ValueError(message) unless it is an
     integer (NumPy integers included) in [low, high]."""
     try:
@@ -129,19 +133,44 @@ class ArmTally:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Tallies plus the derived empirical estimates of one run.
+    """The tallies of one run, and the estimates read from them.
 
     ``arms`` maps each ArmKind to its tally, or to None if that arm starved
-    (acceptance probability effectively zero).  Derived fields are None
-    whenever an arm they depend on starved or the quantity is undefined.
+    (acceptance probability effectively zero).  ``rates``, ``accardi_est``
+    and ``boost_est`` are computed from the tallies when read; each is None
+    whenever an arm it depends on starved or the quantity is undefined.
     """
 
     config: SimConfig
     arms: Mapping[ArmKind, Optional[ArmTally]]
     baseline: Optional[ArmTally]
-    rates: Optional[RateTriple]
-    accardi_est: Optional[EstimateWithError]
-    boost_est: Optional[EstimateWithError]
+
+    def _accardi_counts(self) -> "Optional[list[ArmCounts]]":
+        """Counts of the three arms A is read from, or None if one starved."""
+        tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
+        return None if None in tallies else [t.counts for t in tallies]
+
+    @property
+    def rates(self) -> Optional[RateTriple]:
+        counts = self._accardi_counts()
+        if counts is None:
+            return None
+        return RateTriple(*(estimate_rate(c).estimate for c in counts))
+
+    @property
+    def accardi_est(self) -> Optional[EstimateWithError]:
+        counts = self._accardi_counts()
+        if counts is not None:
+            with contextlib.suppress(UndefinedQuantity):
+                return accardi_from_counts(*counts)
+        return None
+
+    @property
+    def boost_est(self) -> Optional[EstimateWithError]:
+        if self.baseline is not None:
+            with contextlib.suppress(UndefinedQuantity):
+                return empirical_boost(self, estimate_rate(self.baseline.counts))
+        return None
 
     def to_json_dict(self) -> dict:
         """Stable JSON form; field names are part of the interface."""
@@ -210,7 +239,9 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     if isinstance(model, ClassicalParams):
         p, q_r, q_n = model.p, model.q_r, model.q_n
         p_x = marginal_term_rate(model)
-        p_r_x = p * q_r / p_x if p_x > 0.0 else 0.0
+        # the one rate rounding can push past 1: the others are validated
+        # parameters or clamped by total_probability and quantum_rates
+        p_r_x = min(1.0, p * q_r / p_x) if p_x > 0.0 else 0.0
         pairs = ((p, q_r), (1.0 - p, q_n), (1.0, p_x), (p_x, p_r_x), (1.0, p))
     elif isinstance(model, QuantumParams):
         # Collapse rule: the second measurement's success probability
@@ -226,8 +257,7 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
         )
     else:
         raise TypeError(f"unsupported model parameters: {model!r}")
-    # rounding can put a rate an ulp outside [0, 1]
-    return tuple((min(1.0, max(0.0, a)), min(1.0, max(0.0, q))) for a, q in pairs)
+    return pairs
 
 
 class _Words(ISeedSequence):
@@ -309,29 +339,7 @@ def _tally(
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
     arms = {kind: _tally(model, kind, n_per_arm, seed) for kind in ArmKind}
-    baseline = _tally(model, None, n_per_arm, seed)
-
-    rates = None
-    accardi_est = None
-    boost_est = None
-
-    t_r, t_n, t_x, t_e = arms.values()  # in ArmKind order
-    if t_r is not None and t_n is not None and t_x is not None:
-        rates = RateTriple(
-            estimate_rate(t_r.counts).estimate,
-            estimate_rate(t_n.counts).estimate,
-            estimate_rate(t_x.counts).estimate,
-        )
-        with contextlib.suppress(UndefinedQuantity):
-            accardi_est = accardi_from_counts(t_r.counts, t_n.counts, t_x.counts)
-
-    if t_e is not None and baseline is not None:
-        with contextlib.suppress(UndefinedQuantity):
-            boost_est = _boost_est(
-                estimate_rate(t_e.counts), estimate_rate(baseline.counts)
-            )
-
-    return SimResult(config, arms, baseline, rates, accardi_est, boost_est)
+    return SimResult(config, arms, _tally(model, None, n_per_arm, seed))
 
 
 def simulate_classical(
@@ -350,10 +358,19 @@ def simulate_quantum(
     return _simulate(params, n_per_arm, seed)
 
 
-def _boost_est(
-    post: EstimateWithError, baseline_p_r: EstimateWithError
+def empirical_boost(
+    result: SimResult, baseline_p_r: EstimateWithError
 ) -> EstimateWithError:
-    """Boost of a posterior P(R|X) estimate over a baseline P(R) estimate."""
+    """Precision boost of the expansion arm against an unconditioned
+    relevance baseline, with a delta-method standard error.
+
+    Raises BoostUndefined when the expansion arm starved or the baseline
+    rate is effectively zero.
+    """
+    tally = result.arms[ArmKind.EXPAND_THEN_RELEVANCE]
+    if tally is None:
+        raise BoostUndefined("expansion arm starved; no posterior estimate")
+    post = estimate_rate(tally.counts)
     b = baseline_p_r.estimate
     delta = boost(post.estimate, b)  # raises BoostUndefined if b <= EPS_DENOM
     return with_error(
@@ -362,17 +379,3 @@ def _boost_est(
         post.std_error / b,
         post.estimate * baseline_p_r.std_error / b**2,
     )
-
-
-def empirical_boost(
-    result: SimResult, baseline_p_r: EstimateWithError
-) -> EstimateWithError:
-    """Precision boost of the expansion arm against an unconditioned
-    relevance baseline, with a delta-method standard error.
-
-    Raises BoostUndefined when the baseline rate is effectively zero.
-    """
-    tally = result.arms[ArmKind.EXPAND_THEN_RELEVANCE]
-    if tally is None:
-        raise BoostUndefined("expansion arm starved; no posterior estimate")
-    return _boost_est(estimate_rate(tally.counts), baseline_p_r)

@@ -9,9 +9,12 @@ Points within ``exclusion_margin`` of a singular manifold (|q_r - q_n|,
 False rather than dropped, so a sweep stays an unbiased uniform sample and
 summary fractions remain interpretable.
 
-All parameter sampling happens up front from a single seeded generator and
-Monte Carlo points use substreams keyed by (seed, point index), so results
-are deterministic and independent of evaluation order.
+All parameter sampling happens up front from one seeded generator,
+``default_rng(seed)``.  Monte Carlo point i runs with the i-th 64-bit word
+of one hash, ``SeedSequence(seed, spawn_key=(0,))``: the seed's first child,
+apart from the words ``default_rng(seed)`` starts from.  A point's seed does
+not depend on ``n_points``, and results are deterministic and independent
+of evaluation order.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .probcore import (
     with_error,
 )
 from .quantum import QuantumParams
-from .stream import check_n_per_arm, check_seed, simulate_classical, simulate_quantum
+from .stream import (
+    _check_int, check_n_per_arm, check_seed, simulate_classical, simulate_quantum
+)
 
 Params = Union[ClassicalParams, QuantumParams]
 
@@ -76,8 +81,8 @@ class SweepConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+        n_points = _check_int(self.n_points, 1, math.inf, "n_points must be >= 1")
+        object.__setattr__(self, "n_points", n_points)
         check_n_per_arm(self.n_per_arm)
         _margin(self.exclusion_margin)
         if self.mode == "montecarlo":
@@ -156,7 +161,9 @@ def _flags(params: Params, margin: float):
     raise TypeError(f"unsupported parameters: {params!r}")
 
 
-def _analytic_points(config: SweepConfig, mat: np.ndarray) -> list[ScatterPoint]:
+def _analytic_points(
+    config: SweepConfig, mat: np.ndarray, params: "list[Params]"
+) -> list[ScatterPoint]:
     m = _margin(config.exclusion_margin)
     with np.errstate(divide="ignore", invalid="ignore"):
         if config.model == "classical":
@@ -165,20 +172,14 @@ def _analytic_points(config: SweepConfig, mat: np.ndarray) -> list[ScatterPoint]
             d_ok = cm.boost_defined(p, q_r, q_n, m)
             a = np.where(a_ok, p, np.nan)
             delta = np.where(d_ok, cm.boost_closed_form(p, q_r, q_n), np.nan)
-            params = [ClassicalParams(*row) for row in zip(p, q_r, q_n)]
         else:
             phi, alpha = mat[:, 0], mat[:, 1]
             cp, ca = np.cos(phi), np.cos(alpha)
             a_ok, d_ok = qm.accardi_defined(ca, m), qm.boost_defined(cp, m)
             a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
             delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
-            params = [QuantumParams(*row) for row in zip(phi, alpha)]
     columns = (a.tolist(), delta.tolist(), a_ok.tolist(), d_ok.tolist())
     return [ScatterPoint(config.model, *row) for row in zip(params, *columns)]
-
-
-def _point_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((int(seed), index)).generate_state(1)[0])
 
 
 def _montecarlo_point(
@@ -233,18 +234,16 @@ def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
 def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     """Uniform parameter sweep; deterministic given the config."""
     mat = sample_params(config)
+    cls = MODELS[config.model]
+    params = [cls(*row) for row in mat.tolist()]
     if config.mode == "analytic":
-        points = _analytic_points(config, mat)
+        points = _analytic_points(config, mat, params)
     else:
-        cls = MODELS[config.model]
+        root = np.random.SeedSequence(check_seed(config.seed), spawn_key=(0,))
+        seeds = root.generate_state(config.n_points, np.uint64).tolist()
         points = [
-            _montecarlo_point(
-                cls(*row),
-                config.n_per_arm,
-                _point_seed(config.seed, i),
-                config.exclusion_margin,
-            )
-            for i, row in enumerate(mat)
+            _montecarlo_point(pt, config.n_per_arm, seed, config.exclusion_margin)
+            for pt, seed in zip(params, seeds)
         ]
     return points, summarize(points)
 
@@ -440,20 +439,16 @@ def read_csv(path) -> list[ScatterPoint]:
                 raise MalformedInput(f"bad CSV row: {row!r}")
             model, p1, p2, p3, a, delta, a_ok, b_ok = row
             cls, n = _CSV_MODELS.get(model, (None, 0))
-            a_flag, b_flag = _CSV_FLAGS.get(a_ok), _CSV_FLAGS.get(b_ok)
-            # n is 2 or 3, so only param3 can lie past a model's parameters
-            if cls is None or (p3 and n < 3) or a_flag is None or b_flag is None:
+            flags = _CSV_FLAGS.get(a_ok), _CSV_FLAGS.get(b_ok)
+            # n is 2 or 3, so only param3 can lie past a model's parameters;
+            # a value is empty exactly when its flag is false, else finite
+            if cls is None or (p3 and n < 3) or flags != (bool(a), bool(delta)):
                 raise MalformedInput(f"bad CSV row: {row!r}")
-            points.append(
-                ScatterPoint(
-                    model,
-                    cls(*(p1, p2, p3)[:n]),  # the parameter classes apply float()
-                    float(a) if a else math.nan,
-                    float(delta) if delta else math.nan,
-                    a_flag,
-                    b_flag,
-                )
-            )
+            values = [float(v) if v else math.nan for v in (a, delta)]
+            if flags != tuple(map(math.isfinite, values)):
+                raise MalformedInput(f"bad CSV row: {row!r}")
+            # the parameter classes apply float()
+            points.append(ScatterPoint(model, cls(*(p1, p2, p3)[:n]), *values, *flags))
     return points
 
 

@@ -188,6 +188,10 @@ class TestGnuplotCommand:
             "bogus,0.5,0.5,0.5,1,2,true,true",  # unknown model
             "classical,0.5,0.5,0.2,1,2,yes,true",  # flag not true/false
             "quantum,1,0.5,0.5,1,2,true,true",  # quantum has no param3
+            "classical,0.5,0.5,0.2,,2,true,true",  # empty value under a true flag
+            "classical,0.5,0.5,0.2,0.5,2,true,false",  # value under a false flag
+            "quantum,1,0.5,,nan,inf,true,true",  # values that are not finite
+            "empirical,0.5,0.5,0.2,0.5,-inf,true,true",
         ],
     )
     def test_rejects_rows_export_csv_never_writes(self, row, tmp_path, capsys):

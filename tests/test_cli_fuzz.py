@@ -162,11 +162,15 @@ def test_csv_file_exit_codes(content):
 
 @FUZZ
 @given(rows=CSV_SHAPED_ROWS)
+@example(rows=[["classical", "0.5", "0.5", "0.2", "", "2", "true", "true"]])
+@example(rows=[["quantum", "1", "0.5", "", "0.5", "2", "false", "true"]])
 def test_csv_rows_export_csv_could_write_are_read(rows):
     def writable(model, p1, p2, p3, a, delta, a_ok, b_ok):
         n = {"classical": 3, "empirical": 3, "quantum": 2}.get(model)
         params_ok = n is not None and all((p1, p2, p3)[:n]) and not any((p1, p2, p3)[n:])
-        return params_ok and {a_ok, b_ok} <= {"true", "false"}
+        # a value is written exactly when its flag is true
+        values_ok = (bool(a), bool(delta)) == (a_ok == "true", b_ok == "true")
+        return params_ok and {a_ok, b_ok} <= {"true", "false"} and values_ok
 
     content = "\n".join(",".join(r) for r in [CSV_HEADER, *rows]).encode()
     code, stderr = run_on_file("gnuplot", content, [])

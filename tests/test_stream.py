@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -15,6 +16,7 @@ from irboost import (
     EstimateWithError,
     QuantumParams,
     SimConfig,
+    SimResult,
     SweepConfig,
     empirical_boost,
     estimate_rate,
@@ -214,6 +216,53 @@ class TestEmpiricalBoost:
         res = self._result(n=100_000, seed=412)
         est = res.boost_est
         assert abs(est.estimate - 0.6) <= 4 * est.std_error
+
+
+class TestDerivedFromTallies:
+    # a result keeps only its tallies; the estimates are read from them
+    def test_fields_are_the_tallies(self):
+        assert [f.name for f in dataclasses.fields(SimResult)] == ["config", "arms", "baseline"]
+
+    @pytest.mark.parametrize(
+        "params, starved, has_rates, has_accardi, has_boost",
+        [
+            # p = 0 starves the relevant arm; P(R) = 0 leaves no boost
+            (ClassicalParams(0.0, 0.7, 0.3), ArmKind.COND_ON_RELEVANT, False, False, False),
+            # p = 1 starves the non-relevant arm; the boost is 0
+            (ClassicalParams(1.0, 0.7, 0.3), ArmKind.COND_ON_NON_RELEVANT, False, False, True),
+            # P(X) = 0 starves the expansion arm; the rates tie, so no A
+            (ClassicalParams(0.4, 0.0, 0.0), ArmKind.EXPAND_THEN_RELEVANCE, True, False, False),
+            (ClassicalParams(0.4, 0.7, 0.3), None, True, True, True),
+        ],
+    )
+    def test_none_where_an_arm_is_missing(
+        self, params, starved, has_rates, has_accardi, has_boost
+    ):
+        res = simulate_classical(params, 200, seed=6)
+        assert [k for k in ArmKind if res.arms[k] is None] == ([starved] if starved else [])
+        assert res.baseline is not None
+        assert (res.rates is not None, res.accardi_est is not None) == (has_rates, has_accardi)
+        assert (res.boost_est is not None) == has_boost
+        if has_rates:
+            arms = (ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM)
+            want = [estimate_rate(res.arms[k].counts).estimate for k in arms]
+            assert list(dataclasses.astuple(res.rates)) == want
+        if has_boost:
+            assert res.boost_est == empirical_boost(res, estimate_rate(res.baseline.counts))
+        else:
+            with pytest.raises(BoostUndefined):
+                empirical_boost(res, estimate_rate(res.baseline.counts))
+
+    def test_boost_is_empirical_boost_on_the_baseline(self):
+        for seed in range(20):
+            res = simulate_quantum(QuantumParams(0.1 * seed + 0.2, 1.0), 100, seed)
+            assert res.boost_est == empirical_boost(res, estimate_rate(res.baseline.counts))
+
+    def test_missing_baseline_leaves_no_boost(self):
+        # the baseline accepts every draw, so it never starves in a run
+        res = simulate_quantum(QuantumParams(1.0, 0.5), 100, seed=1)
+        bare = SimResult(res.config, res.arms, None)
+        assert bare.boost_est is None and bare.accardi_est == res.accardi_est
 
 
 class TestJsonInterface:

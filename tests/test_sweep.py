@@ -93,6 +93,24 @@ class TestSweepAnalytic:
             SweepConfig("classical", 10, 0, mode="exact")
 
 
+class TestNPointsRule:
+    # n_points takes the integer rule n_per_arm and the seed take: an
+    # integer, NumPy integers included, and at least 1
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("n", [1.5, 2.0, "3", None, 0, -1])
+    def test_rejected_when_built(self, n, mode):
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            SweepConfig("quantum", n, seed=0, mode=mode, n_per_arm=50)
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_integers_stored_as_int(self, mode):
+        for n, want in ((np.int64(3), 3), (np.uint8(2), 2), (True, 1)):
+            config = SweepConfig("quantum", n, seed=0, mode=mode, n_per_arm=50)
+            assert type(config.n_points) is int and config.n_points == want
+            points, summary = sweep(config)
+            assert len(points) == summary.n_points == want
+
+
 class TestSweepMonteCarlo:
     def test_consistent_with_analytic(self):
         # same sampled parameter points in both modes; estimates within 4
@@ -132,8 +150,49 @@ class TestSweepMonteCarlo:
         assert not pt.accardi_defined
 
 
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_points_run_with_their_documented_seeds(self, model):
+        # point i is simulate_*(params_i, n_per_arm, seeds[i]), flagged at
+        # the exclusion margin
+        n_pts, n = 12, 300
+        config = SweepConfig(model, n_pts, seed=2024, mode="montecarlo", n_per_arm=n)
+        points, _ = sweep(config)
+        simulate = simulate_classical if model == "classical" else simulate_quantum
+        for i, pt in enumerate(points):
+            res = simulate(pt.params, n, _mc_seed(2024, i))
+            a_ok, d_ok = eval_point(pt.params)[4:]  # the flags at the default margin
+            a_est = res.accardi_est if a_ok else None
+            b_est = res.boost_est if d_ok else None
+            assert pt.accardi_defined == (a_est is not None)
+            assert pt.boost_defined == (b_est is not None)
+            assert _same(pt.a, a_est.estimate if a_est else math.nan)
+            assert _same(pt.delta, b_est.estimate if b_est else math.nan)
+
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_prefix_of_a_longer_sweep(self, model):
+        # a point's seed does not depend on n_points
+        short, _ = sweep(SweepConfig(model, 6, seed=5, mode="montecarlo", n_per_arm=200))
+        long, _ = sweep(SweepConfig(model, 20, seed=5, mode="montecarlo", n_per_arm=200))
+        assert [tuple(map(repr, pt)) for pt in short] == [tuple(map(repr, pt)) for pt in long[:6]]
+
+    def test_point_seeds_are_64_bit_and_distinct(self):
+        # 32-bit point seeds collide about 5 times in 200k points
+        seeds = {_mc_seed(7, 0), _mc_seed(7, 199_999)}
+        root = np.random.SeedSequence(7, spawn_key=(0,))
+        seeds.update(root.generate_state(200_000, np.uint64).tolist())
+        assert len(seeds) == 200_000
+        assert max(seeds) >= 2**32
+
+
 def _mc_seed(seed, index):
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+    """The run seed of point ``index`` of a Monte Carlo sweep: a word of the
+    seed's first child, which ``default_rng(seed)`` does not start from."""
+    root = np.random.SeedSequence(seed, spawn_key=(0,))
+    return int(root.generate_state(index + 1, np.uint64)[index])
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 class TestEvalPoint:
