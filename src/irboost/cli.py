@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -66,6 +67,7 @@ def _point_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irboost",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
-from .probcore import EPS_DENOM, Probability, RateTriple, total_probability
+from .probcore import EPS_DENOM, Probability, total_probability
 
 
 def _clamp01(v: float) -> float:
@@ -83,12 +83,6 @@ def quantum_rates(params: QuantumParams) -> QuantumRates:
         p_x_given_n=Probability(_clamp01((1.0 - ca) / 2.0)),
         p_x_direct=Probability(_clamp01((1.0 + math.cos(params.phi - params.alpha)) / 2.0)),
     )
-
-
-def rate_triple(params: QuantumParams) -> RateTriple:
-    """The (P(X|R), P(X|~R), P(X)) triple with P(X) measured directly."""
-    r = quantum_rates(params)
-    return RateTriple(r.p_x_given_r, r.p_x_given_n, r.p_x_direct)
 
 
 def posterior_quantum(params: QuantumParams) -> Probability:

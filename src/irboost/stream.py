@@ -237,27 +237,21 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     ``simulate_arm``, and the five share one computation of the rates.
     """
     if isinstance(model, ClassicalParams):
-        p, q_r, q_n = model.p, model.q_r, model.q_n
+        p_r, p_x_r, p_x_n = model.p, model.q_r, model.q_n
         p_x = marginal_term_rate(model)
         # the one rate rounding can push past 1: the others are validated
         # parameters or clamped by total_probability and quantum_rates
-        p_r_x = min(1.0, p * q_r / p_x) if p_x > 0.0 else 0.0
-        pairs = ((p, q_r), (1.0 - p, q_n), (1.0, p_x), (p_x, p_r_x), (1.0, p))
+        p_r_x = min(1.0, p_r * p_x_r / p_x) if p_x > 0.0 else 0.0
     elif isinstance(model, QuantumParams):
+        r = quantum_rates(model)
+        p_r, p_x_r, p_x_n, p_x = r.p_r, r.p_x_given_r, r.p_x_given_n, r.p_x_direct
         # Collapse rule: the second measurement's success probability
         # depends only on the eigenstate selected by the first, never on
         # |q>; after collapsing onto |X>, P(R) = |<R|X>|^2 = P(X|R).
-        r = quantum_rates(model)
-        pairs = (
-            (r.p_r, r.p_x_given_r),
-            (1.0 - r.p_r, r.p_x_given_n),
-            (1.0, r.p_x_direct),
-            (r.p_x_direct, r.p_x_given_r),
-            (1.0, r.p_r),
-        )
+        p_r_x = p_x_r
     else:
         raise TypeError(f"unsupported model parameters: {model!r}")
-    return pairs
+    return ((p_r, p_x_r), (1.0 - p_r, p_x_n), (1.0, p_x), (p_x, p_r_x), (1.0, p_r))
 
 
 class _Words(ISeedSequence):

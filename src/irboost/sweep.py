@@ -85,8 +85,7 @@ class SweepConfig:
         object.__setattr__(self, "n_points", n_points)
         check_n_per_arm(self.n_per_arm)
         _margin(self.exclusion_margin)
-        if self.mode == "montecarlo":
-            check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 class ScatterPoint(NamedTuple):
@@ -239,7 +238,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     if config.mode == "analytic":
         points = _analytic_points(config, mat, params)
     else:
-        root = np.random.SeedSequence(check_seed(config.seed), spawn_key=(0,))
+        root = np.random.SeedSequence(config.seed, spawn_key=(0,))
         seeds = root.generate_state(config.n_points, np.uint64).tolist()
         points = [
             _montecarlo_point(pt, config.n_per_arm, seed, config.exclusion_margin)
@@ -267,11 +266,11 @@ def eval_point(
     accardi_ok, boost_ok = _flags(params, exclusion_margin)
     # looked up at call time, so wrappers on the model modules see each call
     if isinstance(params, ClassicalParams):
-        model, a_fn, d_fn = "classical", cm.accardi_classical, cm.boost_classical
+        a_fn, d_fn = cm.accardi_classical, cm.boost_classical
     else:
-        model, a_fn, d_fn = "quantum", qm.accardi_quantum, qm.boost_quantum
+        a_fn, d_fn = qm.accardi_quantum, qm.boost_quantum
     return ScatterPoint(
-        model,
+        params.name,
         params,
         a_fn(params) if accardi_ok else math.nan,
         d_fn(params) if boost_ok else math.nan,
@@ -329,10 +328,10 @@ def parse_count_file(path) -> "tuple[int, int, int, int, int]":
 def estimate_from_file(path) -> CountEstimate:
     """Empirical (A, Delta) with standard errors from a five-count file.
 
-    A comes from the Accardi ratio on the three empirical rates; Delta from
-    the Bayes-posterior route on (p, q_r, q_n) = (N_R/N, N_XR/N_R,
-    N_XN/(N-N_R)), defined where the classical model's rule at EPS_DENOM
-    says so.  Undefined quantities are flagged, not fatal.
+    A comes from the Accardi ratio on the three empirical rates; Delta is
+    ``boost_closed_form`` at (p, q_r, q_n) = (N_R/N, N_XR/N_R, N_XN/(N-N_R)),
+    as in ``eval_point``, defined where the classical model's rule at
+    EPS_DENOM says so.  Undefined quantities are flagged, not fatal.
     """
     n, n_r, n_xr, n_xn, n_x = parse_count_file(path)
     n_nr = n - n_r
@@ -359,9 +358,8 @@ def estimate_from_file(path) -> CountEstimate:
         d_qr = q_n * (1.0 - p) / denom**2
         d_qn = -q_r * (1.0 - p) / denom**2
         d_p = -q_r * (q_r - q_n) / denom**2
-        bst = with_error(
-            q_r / denom - 1.0, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p
-        )
+        delta = cm.boost_closed_form(p, q_r, q_n)
+        bst = with_error(delta, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p)
 
     point = ScatterPoint(
         model="empirical",

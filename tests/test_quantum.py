@@ -8,6 +8,7 @@ from irboost import (
     AccardiUndefined,
     BoostUndefined,
     QuantumParams,
+    RateTriple,
     accardi,
     accardi_quantum,
     boost,
@@ -17,7 +18,7 @@ from irboost import (
     quantum_rates,
     total_probability,
 )
-from irboost.quantum import interference_term_by_rates, rate_triple
+from irboost.quantum import interference_term_by_rates
 
 angle = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 
@@ -134,7 +135,8 @@ class TestAccardiQuantum:
     def test_route_equivalence(self, t):
         params = QuantumParams(*t)
         direct = accardi_quantum(params)
-        routed = accardi(rate_triple(params))
+        r = quantum_rates(params)
+        routed = accardi(RateTriple(r.p_x_given_r, r.p_x_given_n, r.p_x_direct))
         assert direct == pytest.approx(routed, abs=1e-12)
 
 

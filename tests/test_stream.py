@@ -24,7 +24,6 @@ from irboost import (
     simulate_arm,
     simulate_classical,
     simulate_quantum,
-    sweep,
     total_probability,
 )
 from irboost.cli import main as cli_main
@@ -298,8 +297,8 @@ class TestJsonInterface:
 
 
 class TestSeedRule:
-    # one rule for every Monte Carlo entry point: an integer in [0, 2**64)
-    BAD = (2**64, 2**70, -1, 1.5)
+    # one rule for every seeded entry point: an integer in [0, 2**64)
+    BAD = (2**64, 2**70, -1, 1.5, None)
 
     @pytest.mark.parametrize("seed", BAD)
     def test_simulate_arm_rejects(self, seed):
@@ -319,20 +318,16 @@ class TestSeedRule:
                 eval_point(params, mode="montecarlo", n_per_arm=10, seed=seed)
 
     @pytest.mark.parametrize("seed", BAD)
-    def test_montecarlo_sweep_config_rejects(self, seed):
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_sweep_config_rejects(self, mode, seed):
+        # an analytic sweep too: default_rng would take 2**70, and would
+        # draw fresh entropy on every call for None
         with pytest.raises(ValueError, match="64 unsigned bits"):
-            SweepConfig(
-                model="quantum", mode="montecarlo", n_points=2, n_per_arm=50, seed=seed
-            )
+            SweepConfig(model="quantum", mode=mode, n_points=2, n_per_arm=50, seed=seed)
 
-    def test_analytic_sweep_keeps_its_seeds(self):
-        # an analytic sweep seeds numpy's default_rng, which takes any
-        # nonnegative integer
-        points, _ = sweep(SweepConfig(model="quantum", n_points=2, seed=2**70))
-        assert len(points) == 2
-
-    def test_montecarlo_sweep_cli_exits_2(self, capsys):
-        argv = ["sweep", "--model", "quantum", "--mode", "montecarlo",
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_sweep_cli_exits_2(self, capsys, mode):
+        argv = ["sweep", "--model", "quantum", "--mode", mode,
                 "--n-points", "2", "--n-per-arm", "50", "--seed", str(2**70)]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()
@@ -345,6 +340,8 @@ class TestSeedRule:
         assert simulate_arm(params, None, 50, np.int32(9)) == simulate_arm(params, None, 50, 9)
         simulate_classical(params, 50, 2**64 - 1)
         simulate_classical(params, 50, 0)
+        config = SweepConfig(model="quantum", n_points=2, seed=np.uint64(9))
+        assert type(config.seed) is int and config.seed == 9
 
 
 class TestNPerArmRule:

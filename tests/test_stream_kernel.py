@@ -31,7 +31,7 @@ from irboost import (
     simulate_quantum,
 )
 from irboost.quantum import quantum_rates
-from irboost.stream import MAX_DRAWS_FACTOR
+from irboost.stream import MAX_DRAWS_FACTOR, _arm_rates
 
 Z = 5.0
 
@@ -158,7 +158,26 @@ def _arm_law(model):
     }
 
 
-ALL_ARMS = [*ArmKind, None]
+ALL_ARMS = [*ArmKind, None]  # in substream order: the baseline is index 4
+
+
+class TestArmTable:
+    # exact equality: the law checks below allow 5 standard errors, so they
+    # cannot see two near-equal arms swapped or a rate one ulp off
+    @pytest.mark.parametrize(
+        "cls,n_params,scale",
+        [(ClassicalParams, 3, 1.0), (QuantumParams, 2, math.pi)],
+        ids=["classical", "quantum"],
+    )
+    def test_rates_are_the_law(self, cls, n_params, scale):
+        rows = np.random.default_rng(1305).random((3_000, n_params)) * scale
+        for model in (cls(*row) for row in rows.tolist()):
+            law = _arm_law(model)
+            # the kernel clamps a classical P(X) that rounds past 1
+            slack = isinstance(model, ClassicalParams) and law[ArmKind.DIRECT_TERM][1] > 1.0
+            for index, kind in enumerate(ALL_ARMS):
+                for got, want in zip(_arm_rates(model)[index], law[kind]):
+                    assert got == want or (slack and abs(got - want) <= math.ulp(want)), (model, kind)
 
 
 class TestDistribution:

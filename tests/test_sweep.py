@@ -292,6 +292,26 @@ class TestEstimateFromFile:
         assert outcome.boost is None and math.isnan(pt.delta)
         assert pt.accardi_defined
 
+    def test_delta_and_flags_are_eval_points(self, tmp_path):
+        # Delta is the closed form's float, bit for bit, and both flags
+        # follow the classical rules at zero margin, on hand-picked and on
+        # seeded random counts of every size
+        rng = np.random.default_rng(2013)
+        files = [(100, 40, 30, 12, 42), (10**9, 1, 1, 5 * 10**8, 5 * 10**8 + 1)]
+        for _ in range(2_000):
+            n = int(rng.integers(2, 10 ** rng.integers(1, 13), endpoint=True))
+            n_r = int(rng.integers(1, n))
+            n_xr, n_xn = int(rng.integers(0, n_r + 1)), int(rng.integers(0, n - n_r + 1))
+            files.append((n, n_r, n_xr, n_xn, n_xr + n_xn))
+        for n, n_r, n_xr, n_xn, n_x in files:
+            text = f"{n} {n_r} {n_xr} {n_xn} {n_x}"
+            pt = estimate_from_file(self.write(tmp_path, text)).point
+            params = ClassicalParams(n_r / n, n_xr / n_r, n_xn / (n - n_r))
+            want = eval_point(params, exclusion_margin=0)
+            assert pt.delta.hex() == want.delta.hex(), text
+            assert pt.accardi_defined == want.accardi_defined, text
+            assert pt.boost_defined == want.boost_defined, text
+
     def test_multiline_with_comments(self, tmp_path):
         path = self.write(tmp_path, "# header\n1000 500\n# middle\n400 100 500\n")
         outcome = estimate_from_file(path)
