@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -67,7 +66,6 @@ def _point_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irboost",

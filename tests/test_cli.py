@@ -1,4 +1,3 @@
-import argparse
 import json
 import pathlib
 import subprocess
@@ -6,7 +5,7 @@ import sys
 
 import pytest
 
-from irboost.cli import build_parser, main
+from irboost.cli import main
 from irboost.sweep import CSV_HEADER
 
 DATA = pathlib.Path(__file__).parent / "data" / "cli"
@@ -245,39 +244,6 @@ class TestPinnedOutput:
         out.write_bytes(b"previous\n")
         assert main([*argv, "--out", str(out)]) == 2
         assert out.read_bytes() == b"previous\n"
-
-
-class TestParser:
-    def test_built_once_per_process(self, monkeypatch):
-        parsers = []
-        parse_args = argparse.ArgumentParser.parse_args
-
-        def spy(self, *args, **kwargs):
-            parsers.append(self)
-            return parse_args(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-        assert main(["classical", "0.5", "0.8", "0.2"]) == 0
-        assert main(["quantum", "1.0", "0.5"]) == 0
-        assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
-
-    def test_usage_error_after_reuse(self, capsys):
-        # a fresh parser prints the same usage error as the shared one,
-        # every time, and a failed parse leaves the shared one usable
-        argv = ["classical", "0.5"]
-        with pytest.raises(SystemExit):
-            build_parser.__wrapped__().parse_args(argv)
-        fresh = capsys.readouterr()
-        assert fresh.err.endswith(
-            "error: the following arguments are required: q_r, q_n\n"
-        )
-        for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert capsys.readouterr() == fresh
-            assert main(["classical", "0.5", "0.8", "0.2"]) == 0
-            assert capsys.readouterr().out == (DATA / "classical.csv").read_text()
 
 
 class TestJsonKeyOrder:
