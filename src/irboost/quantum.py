@@ -32,10 +32,6 @@ from .errors import AccardiUndefined, BoostUndefined
 from .probcore import EPS_DENOM, Probability, total_probability
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
-
-
 @dataclass(frozen=True)
 class QuantumParams:
     """Query-state angle phi and term-state angle alpha, radians in [0, pi]."""
@@ -74,14 +70,17 @@ def quantum_rates(params: QuantumParams) -> QuantumRates:
         P(X|R)   = (1 + cos alpha) / 2
         P(X|~R)  = (1 - cos alpha) / 2
         P(X) direct = |<X|q>|^2 = (1 + cos(phi - alpha)) / 2
+
+    Each lies in [0, 1] as computed: 1 +- cos rounds to a double in [0, 2],
+    and halving it is exact.
     """
     cp = math.cos(params.phi)
     ca = math.cos(params.alpha)
     return QuantumRates(
-        p_r=Probability(_clamp01((1.0 + cp) / 2.0)),
-        p_x_given_r=Probability(_clamp01((1.0 + ca) / 2.0)),
-        p_x_given_n=Probability(_clamp01((1.0 - ca) / 2.0)),
-        p_x_direct=Probability(_clamp01((1.0 + math.cos(params.phi - params.alpha)) / 2.0)),
+        p_r=Probability((1.0 + cp) / 2.0),
+        p_x_given_r=Probability((1.0 + ca) / 2.0),
+        p_x_given_n=Probability((1.0 - ca) / 2.0),
+        p_x_direct=Probability((1.0 + math.cos(params.phi - params.alpha)) / 2.0),
     )
 
 
@@ -92,7 +91,7 @@ def posterior_quantum(params: QuantumParams) -> Probability:
 
     Independent of phi: collapsing onto |X> destroys the query state.
     """
-    return Probability(_clamp01((1.0 + math.cos(params.alpha)) / 2.0))
+    return Probability((1.0 + math.cos(params.alpha)) / 2.0)
 
 
 def accardi_defined(cos_alpha, margin):

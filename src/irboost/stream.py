@@ -121,8 +121,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        check_n_per_arm(self.n_per_arm)
-        check_seed(self.seed)
+        object.__setattr__(self, "n_per_arm", check_n_per_arm(self.n_per_arm))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ class SimResult:
         return {
             "config": {
                 "model": {"kind": model.name, "params": fields_dict(model)},
-                "n_per_arm": int(self.config.n_per_arm),
-                "seed": int(self.config.seed),
+                "n_per_arm": self.config.n_per_arm,
+                "seed": self.config.seed,
             },
             "arms": {kind.value: tally(self.arms[kind]) for kind in ArmKind},
             BASELINE_NAME: tally(self.baseline),
@@ -240,7 +240,7 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
         p_r, p_x_r, p_x_n = model.p, model.q_r, model.q_n
         p_x = marginal_term_rate(model)
         # the one rate rounding can push past 1: the others are validated
-        # parameters or clamped by total_probability and quantum_rates
+        # parameters, clamped by total_probability, or exact quantum halves
         p_r_x = min(1.0, p_r * p_x_r / p_x) if p_x > 0.0 else 0.0
     elif isinstance(model, QuantumParams):
         r = quantum_rates(model)

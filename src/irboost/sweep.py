@@ -19,7 +19,6 @@ of evaluation order.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -63,6 +62,7 @@ CSV_HEADER = [
 
 # param1..param3; a quantum point leaves param3 empty
 _EMPTY_PARAMS = ("", "", "")
+_FLAG_TEXT = {True: "true", False: "false"}  # accardi_defined, boost_defined
 
 DEFAULT_EXCLUSION_MARGIN = 1e-6
 
@@ -262,6 +262,7 @@ def eval_point(
         return _montecarlo_point(
             params, check_n_per_arm(n_per_arm), check_seed(seed), exclusion_margin
         )
+    check_seed(seed)  # the same rule, though an analytic point draws nothing
 
     accardi_ok, boost_ok = _flags(params, exclusion_margin)
     # looked up at call time, so wrappers on the model modules see each call
@@ -381,72 +382,70 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else format(x, ".17g")
 
 
-def _point_row(pt: ScatterPoint) -> list[str]:
+def _point_row(pt: ScatterPoint) -> str:
     params = [_fmt(getattr(pt.params, k)) for k in field_names(type(pt.params))]
-    return [
-        pt.model,
-        *params,
-        *_EMPTY_PARAMS[len(params) :],
-        _fmt(pt.a),
-        _fmt(pt.delta),
-        "true" if pt.accardi_defined else "false",
-        "true" if pt.boost_defined else "false",
-    ]
+    params += _EMPTY_PARAMS[len(params) :]
+    return (
+        f"{pt.model},{','.join(params)},{_fmt(pt.a)},{_fmt(pt.delta)},"
+        f"{_FLAG_TEXT[pt.accardi_defined]},{_FLAG_TEXT[pt.boost_defined]}\n"
+    )
 
 
 def write_csv(points: Iterable[ScatterPoint], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for pt in points:
-        writer.writerow(_point_row(pt))
+    stream.write(",".join(CSV_HEADER) + "\n")
+    stream.writelines(map(_point_row, points))
 
 
 def export_csv(points: Iterable[ScatterPoint], path) -> None:
-    """Write scatter points as CSV (header mandatory, 17-digit floats)."""
+    """Write scatter points as CSV (header mandatory, 17-digit floats, plain
+    lines with no quoting, each ended by "\\n")."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(points, fh)
 
 
-def _csv_rows(fh):
-    """Rows of a CSV file; a row the csv module cannot read (say, a field
-    over ``csv.field_size_limit()``) is MalformedInput."""
-    try:
-        yield from csv.reader(fh)
-    except csv.Error as exc:
-        raise MalformedInput(f"unreadable CSV: {exc}") from None
+def _fields(line: str) -> list[str]:
+    """The fields of one line less its "\\n"; a blank line has none."""
+    line = line.removesuffix("\n")
+    return line.split(",") if line else []
 
 
 _CSV_MODELS = {  # model column -> (parameter class, number of fields)
     name: (cls, len(field_names(cls)))
     for name, cls in {**MODELS, "empirical": ClassicalParams}.items()  # estimate rows
 }
-_CSV_FLAGS = {"true": True, "false": False}
+_TEXT_FLAG = {text: flag for flag, text in _FLAG_TEXT.items()}
 
 
 def read_csv(path) -> list[ScatterPoint]:
     """Parse a file written by ``export_csv``, exact value round-trip; a row
-    it never writes is MalformedInput."""
+    it never writes, such as one with a quoted field or a "\\r\\n" end, is
+    MalformedInput."""
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise MalformedInput(f"unexpected CSV header: {header!r}")
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise MalformedInput(f"bad CSV row: {row!r}")
-            model, p1, p2, p3, a, delta, a_ok, b_ok = row
-            cls, n = _CSV_MODELS.get(model, (None, 0))
-            flags = _CSV_FLAGS.get(a_ok), _CSV_FLAGS.get(b_ok)
-            # n is 2 or 3, so only param3 can lie past a model's parameters;
-            # a value is empty exactly when its flag is false, else finite
-            if cls is None or (p3 and n < 3) or flags != (bool(a), bool(delta)):
-                raise MalformedInput(f"bad CSV row: {row!r}")
-            values = [float(v) if v else math.nan for v in (a, delta)]
-            if flags != tuple(map(math.isfinite, values)):
-                raise MalformedInput(f"bad CSV row: {row!r}")
-            # the parameter classes apply float()
-            points.append(ScatterPoint(model, cls(*(p1, p2, p3)[:n]), *values, *flags))
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        try:
+            rows = map(_fields, fh)
+            header = next(rows, None)
+            if header != CSV_HEADER:
+                raise MalformedInput(f"unexpected CSV header: {header!r}")
+            for row in rows:
+                if len(row) != len(CSV_HEADER):
+                    raise MalformedInput(f"bad CSV row: {row!r}")
+                model, p1, p2, p3, a, delta, a_ok, b_ok = row
+                cls, n = _CSV_MODELS.get(model, (None, 0))
+                flags = _TEXT_FLAG.get(a_ok), _TEXT_FLAG.get(b_ok)
+                # n is 2 or 3, so only param3 can lie past a model's parameters;
+                # a value is empty exactly when its flag is false, else finite
+                if cls is None or (p3 and n < 3) or flags != (bool(a), bool(delta)):
+                    raise MalformedInput(f"bad CSV row: {row!r}")
+                values = [float(v) if v else math.nan for v in (a, delta)]
+                if flags != tuple(map(math.isfinite, values)):
+                    raise MalformedInput(f"bad CSV row: {row!r}")
+                # the parameter classes apply float()
+                points.append(ScatterPoint(model, cls(*(p1, p2, p3)[:n]), *values, *flags))
+        except MalformedInput:
+            raise
+        except ValueError as exc:  # from float(), a parameter class or UTF-8 decoding
+            raise MalformedInput(str(exc)) from None
     return points
 
 

@@ -192,6 +192,8 @@ class TestGnuplotCommand:
             "classical,0.5,0.5,0.2,0.5,2,true,false",  # value under a false flag
             "quantum,1,0.5,,nan,inf,true,true",  # values that are not finite
             "empirical,0.5,0.5,0.2,0.5,-inf,true,true",
+            '"classical",0.5,0.5,0.2,0.5,0.6,true,true',  # a quoted field
+            "classical,0.5,0.5,0.2,0.5,0.6,true,true\r",  # a "\r\n" end
         ],
     )
     def test_rejects_rows_export_csv_never_writes(self, row, tmp_path, capsys):
@@ -209,6 +211,8 @@ class TestGnuplotCommand:
 PINNED = [
     ("classical.csv", ["classical", "0.5", "0.8", "0.2"]),
     ("classical.json", ["classical", "0.5", "0.8", "0.2", "--format", "json"]),
+    ("classical-flagged.csv", ["classical", "0.5", "0.5000001", "0.5"]),  # empty a, false flag
+    ("quantum.csv", ["quantum", "1.0472", "0.7854"]),  # empty param3
     ("quantum.json", ["quantum", "1.0472", "0.7854", "--format", "json"]),
     ("sweep.csv", ["sweep", "--model", "classical", "--n-points", "5", "--seed", "1"]),
     (

@@ -318,6 +318,12 @@ class TestSeedRule:
                 eval_point(params, mode="montecarlo", n_per_arm=10, seed=seed)
 
     @pytest.mark.parametrize("seed", BAD)
+    def test_analytic_eval_point_rejects(self, seed):
+        # though an analytic point draws nothing
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            eval_point(ClassicalParams(0.5, 0.8, 0.2), seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD)
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     def test_sweep_config_rejects(self, mode, seed):
         # an analytic sweep too: default_rng would take 2**70, and would
@@ -334,9 +340,19 @@ class TestSeedRule:
         assert out == ""
         assert err == "irboost: error: seed must fit in 64 unsigned bits\n"
 
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_point_cli_exits_2(self, capsys, mode):
+        argv = ["classical", "0.5", "0.8", "0.2", "--mode", mode, "--seed", "-1"]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "irboost: error: seed must fit in 64 unsigned bits\n"
+
     def test_numpy_and_edge_integers_accepted(self):
         params = ClassicalParams(0.4, 0.7, 0.3)
         assert simulate_classical(params, 50, np.uint64(9)) == simulate_classical(params, 50, 9)
+        config = simulate_classical(params, np.int64(50), np.uint64(9)).config
+        assert type(config.n_per_arm) is int and type(config.seed) is int
         assert simulate_arm(params, None, 50, np.int32(9)) == simulate_arm(params, None, 50, 9)
         simulate_classical(params, 50, 2**64 - 1)
         simulate_classical(params, 50, 0)

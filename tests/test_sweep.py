@@ -355,6 +355,23 @@ class TestCsv:
             assert re.accardi_defined == orig.accardi_defined
             assert re.boost_defined == orig.boost_defined
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('\n"classical",0.5,0.5,0.2,0.5,0.6,true,true\n', "bad CSV row"),
+            ("\nclassical,0.5,0.5,0.2,0.5,0.6,true,true\r\n", "bad CSV row"),
+            ("\r\nclassical,0.5,0.5,0.2,0.5,0.6,true,true\r\n", "unexpected CSV header"),
+            ("\nclassical,0.5,0.5,0.2,abc,0.6,true,true\n", "could not convert"),
+            ("\nquantum,9,0.5,,1,2,true,true\n", "phi must lie in"),
+        ],
+        ids=["quoted", "crlf-row", "crlf-file", "abc", "phi-9"],
+    )
+    def test_read_csv_rejects_rows_export_csv_never_writes(self, text, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((",".join(CSV_HEADER) + text).encode())
+        with pytest.raises(MalformedInput, match=message):
+            read_csv(path)
+
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_writers_attach_nothing_to_points(self, model):
         # the writers read each field by name; reading vars() instead would
