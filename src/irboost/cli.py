@@ -24,6 +24,7 @@ from .probcore import field_names, fields_dict
 from .stream import simulate_classical, simulate_quantum
 from .sweep import (
     DEFAULT_EXCLUSION_MARGIN,
+    DEFAULT_N_PER_ARM,
     MODELS,
     MODES,
     SweepConfig,
@@ -61,7 +62,7 @@ def _point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n-per-arm",
         type=int,
-        default=10_000,
+        default=DEFAULT_N_PER_ARM,
         help="accepted documents per measurement arm in montecarlo mode",
     )
 
@@ -108,7 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated parameters: classical p,q_r,q_n or quantum phi,alpha",
     )
-    p.add_argument("--n-per-arm", type=int, default=10_000)
+    p.add_argument(
+        "--n-per-arm",
+        type=int,
+        default=DEFAULT_N_PER_ARM,
+        help=f"accepted documents per measurement arm (default {DEFAULT_N_PER_ARM})",
+    )
     _common_flags(p, fmt=False)
 
     p = sub.add_parser(

@@ -65,6 +65,7 @@ _EMPTY_PARAMS = ("", "", "")
 _FLAG_TEXT = {True: "true", False: "false"}  # accardi_defined, boost_defined
 
 DEFAULT_EXCLUSION_MARGIN = 1e-6
+DEFAULT_N_PER_ARM = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,19 @@ class SweepConfig:
     n_points: int
     seed: int
     mode: str = "analytic"  # one of MODES
-    n_per_arm: int = 10_000
+    n_per_arm: int = DEFAULT_N_PER_ARM
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         n_points = _check_int(self.n_points, 1, math.inf, "n_points must be >= 1")
         object.__setattr__(self, "n_points", n_points)
-        check_n_per_arm(self.n_per_arm)
-        _margin(self.exclusion_margin)
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        n_per_arm, seed, _ = _run_args(
+            self.mode, self.n_per_arm, self.seed, self.exclusion_margin
+        )
+        object.__setattr__(self, "n_per_arm", n_per_arm)
+        object.__setattr__(self, "seed", seed)
 
 
 class ScatterPoint(NamedTuple):
@@ -147,10 +148,19 @@ def _margin(margin: float) -> float:
     return margin if margin > EPS_DENOM else EPS_DENOM
 
 
-def _flags(params: Params, margin: float):
+def _run_args(mode: str, n_per_arm, seed, exclusion_margin: float):
+    """(n_per_arm, seed, margin) a run uses, the counts as Python ints; checks
+    mode, n_per_arm, the exclusion margin and the seed, in that order."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    n_per_arm = check_n_per_arm(n_per_arm)
+    margin = _margin(exclusion_margin)
+    return n_per_arm, check_seed(seed), margin
+
+
+def _flags(params: Params, m: float):
     """(accardi_defined, boost_defined) of one point by its model's rules at
-    the exclusion margin."""
-    m = _margin(margin)
+    the margin ``_margin`` gives."""
     if isinstance(params, QuantumParams):
         cos_phi, cos_alpha = math.cos(params.phi), math.cos(params.alpha)
         return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
@@ -161,11 +171,10 @@ def _flags(params: Params, margin: float):
 
 
 def _analytic_points(
-    config: SweepConfig, mat: np.ndarray, params: "list[Params]"
+    model: str, mat: np.ndarray, params: "list[Params]", m: float
 ) -> list[ScatterPoint]:
-    m = _margin(config.exclusion_margin)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if config.model == "classical":
+        if model == "classical":
             p, q_r, q_n = mat[:, 0], mat[:, 1], mat[:, 2]
             a_ok = cm.accardi_defined(q_r, q_n, m)
             d_ok = cm.boost_defined(p, q_r, q_n, m)
@@ -178,13 +187,13 @@ def _analytic_points(
             a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
             delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
     columns = (a.tolist(), delta.tolist(), a_ok.tolist(), d_ok.tolist())
-    return [ScatterPoint(config.model, *row) for row in zip(params, *columns)]
+    return [ScatterPoint(model, *row) for row in zip(params, *columns)]
 
 
 def _montecarlo_point(
-    params: Params, n_per_arm: int, seed: int, margin: float
+    params: Params, n_per_arm: int, seed: int, m: float
 ) -> ScatterPoint:
-    accardi_ok, boost_ok = _flags(params, margin)
+    accardi_ok, boost_ok = _flags(params, m)
     a_est = b_est = None
     if accardi_ok or boost_ok:
         if isinstance(params, ClassicalParams):
@@ -235,13 +244,14 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     mat = sample_params(config)
     cls = MODELS[config.model]
     params = [cls(*row) for row in mat.tolist()]
+    m = _margin(config.exclusion_margin)
     if config.mode == "analytic":
-        points = _analytic_points(config, mat, params)
+        points = _analytic_points(config.model, mat, params, m)
     else:
         root = np.random.SeedSequence(config.seed, spawn_key=(0,))
         seeds = root.generate_state(config.n_points, np.uint64).tolist()
         points = [
-            _montecarlo_point(pt, config.n_per_arm, seed, config.exclusion_margin)
+            _montecarlo_point(pt, config.n_per_arm, seed, m)
             for pt, seed in zip(params, seeds)
         ]
     return points, summarize(points)
@@ -250,21 +260,18 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
 def eval_point(
     params: Params,
     mode: str = "analytic",
-    n_per_arm: int = 10_000,
+    n_per_arm: int = DEFAULT_N_PER_ARM,
     seed: int = 0,
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN,
 ) -> ScatterPoint:
     """Evaluate one parameter point; semantics of a sweep of size 1."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    # both modes check up front, though an analytic point draws nothing and
+    # a point flagged on both counts never simulates
+    n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)
     if mode == "montecarlo":
-        # checked up front: a point flagged on both counts never simulates
-        return _montecarlo_point(
-            params, check_n_per_arm(n_per_arm), check_seed(seed), exclusion_margin
-        )
-    check_seed(seed)  # the same rule, though an analytic point draws nothing
+        return _montecarlo_point(params, n_per_arm, seed, m)
 
-    accardi_ok, boost_ok = _flags(params, exclusion_margin)
+    accardi_ok, boost_ok = _flags(params, m)
     # looked up at call time, so wrappers on the model modules see each call
     if isinstance(params, ClassicalParams):
         a_fn, d_fn = cm.accardi_classical, cm.boost_classical

@@ -383,18 +383,36 @@ class TestNPerArmRule:
         with pytest.raises(ValueError, match=self.MESSAGE):
             simulate_classical(ClassicalParams(0.4, 0.7, 0.3), n, seed=0)
 
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     @pytest.mark.parametrize("n", BAD)
-    def test_montecarlo_eval_point_rejects(self, n):
-        # the second point is flagged on both counts and never simulates
+    def test_eval_point_rejects(self, n, mode):
+        # though an analytic point draws nothing, and the second point is
+        # flagged on both counts and never simulates
         for params in (QuantumParams(1.0, 0.5), QuantumParams(math.pi, math.pi / 2)):
             with pytest.raises(ValueError, match=self.MESSAGE):
-                eval_point(params, mode="montecarlo", n_per_arm=n, seed=0)
+                eval_point(params, mode=mode, n_per_arm=n, seed=0)
 
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     @pytest.mark.parametrize("n", BAD)
     def test_sweep_config_rejects(self, n, mode):
         with pytest.raises(ValueError, match=self.MESSAGE):
             SweepConfig(model="quantum", mode=mode, n_points=2, n_per_arm=n, seed=0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "classical", "--n-points", "2", "--n-per-arm", "0"],
+            ["classical", "0.5", "0.8", "0.2", "--n-per-arm", "0"],
+            ["quantum", "1.0", "0.7", "--n-per-arm", str(10**16)],
+            ["quantum", "1.0", "0.7", "--mode", "montecarlo", "--n-per-arm", "0"],
+        ],
+        ids=["sweep", "classical", "quantum", "montecarlo-quantum"],
+    )
+    def test_cli_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"irboost: error: n_per_arm must be an integer in [1, {_MAX_N_PER_ARM}]\n"
 
     def test_numpy_and_edge_integers_accepted(self):
         params = ClassicalParams(0.4, 0.7, 0.3)
@@ -405,7 +423,10 @@ class TestNPerArmRule:
         assert eval_point(params, mode="montecarlo", n_per_arm=np.int32(50), seed=9) == (
             eval_point(params, mode="montecarlo", n_per_arm=50, seed=9)
         )
-        SweepConfig(model="classical", mode="montecarlo", n_points=1, n_per_arm=np.int8(1), seed=0)
+        config = SweepConfig(
+            model="classical", mode="montecarlo", n_points=1, n_per_arm=np.int8(1), seed=0
+        )
+        assert type(config.n_per_arm) is int and config.n_per_arm == 1
         simulate_arm(params, None, _MAX_N_PER_ARM, 9)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 import tracemalloc
@@ -68,6 +69,17 @@ class TestSweepAnalytic:
             pt = eval_point(params)
             assert pt.accardi_defined is False
             assert math.isnan(pt.a)
+
+    @pytest.mark.parametrize(
+        "model,row", [("classical", [0.0, 0.0, 0.0]), ("quantum", [math.pi, 0.0])]
+    )
+    def test_row_on_a_singular_manifold(self, model, row, monkeypatch):
+        # uniform sampling all but never draws such a row; its 0/0 or x/0
+        # must stay inside the sweep's np.errstate (RuntimeWarning fails)
+        module = importlib.import_module("irboost.sweep")  # irboost.sweep is the function
+        monkeypatch.setattr(module, "sample_params", lambda config: np.array([row]))
+        (pt,), _ = sweep(SweepConfig(model, 1, seed=0))
+        assert pt.boost_defined is False and math.isnan(pt.delta)
 
     def test_deterministic(self):
         a = sweep(SweepConfig("quantum", 300, seed=5))
@@ -227,12 +239,13 @@ class TestEvalPointRules:
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     @pytest.mark.parametrize("margin", [-1, 0.5, 5.0, math.nan])
     def test_bad_margin_rejected(self, margin, mode):
-        # the second quantum point is flagged on both counts at any margin
+        # the second quantum point is flagged on both counts at any margin;
+        # the bad seed shows that both check the margin first
         for params in (*self.POINTS, QuantumParams(math.pi, math.pi / 2)):
             with pytest.raises(ValueError, match="exclusion_margin"):
-                eval_point(params, mode=mode, n_per_arm=50, exclusion_margin=margin)
+                eval_point(params, mode=mode, n_per_arm=50, seed=-1, exclusion_margin=margin)
         with pytest.raises(ValueError, match="exclusion_margin"):
-            SweepConfig("quantum", 2, seed=0, mode=mode, exclusion_margin=margin)
+            SweepConfig("quantum", 2, seed=-1, mode=mode, exclusion_margin=margin)
 
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     @pytest.mark.parametrize("margin", [0, 0.0, 1e-12, 0.49])
