@@ -17,24 +17,31 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
-from .probcore import EPS_DENOM, Probability, total_probability
+from .probcore import EPS_DENOM, ModelParams, Probability, total_probability
 
 
 @dataclass(frozen=True)
-class ClassicalParams:
+class ClassicalParams(ModelParams):
     """Urn-model parameter triple (p, q_r, q_n), each in [0, 1]."""
 
     name: ClassVar[str] = "classical"  # model name in every output
+    bound: ClassVar[float] = 1.0  # the box: every parameter lies in [0, bound]
+    bound_text: ClassVar[str] = "1"
     p: float
     q_r: float
     q_n: float
 
-    def __post_init__(self):
-        for name in ("p", "q_r", "q_n"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-            object.__setattr__(self, name, v)
+    def flags(self, margin):
+        p, q_r, q_n = self.p, self.q_r, self.q_n
+        return accardi_defined(q_r, q_n, margin), boost_defined(p, q_r, q_n, margin)
+
+    def stream_rates(self):
+        p_r, p_x_r, p_x_n = self.p, self.q_r, self.q_n
+        p_x = marginal_term_rate(self)
+        # rounding can push this rate alone past 1.  Not posterior_bayes: it
+        # raises where P(X) <= EPS_DENOM, and a starving expansion arm needs a rate
+        p_r_x = min(1.0, p_r * p_x_r / p_x) if p_x > 0.0 else 0.0
+        return p_r, p_x_r, p_x_n, p_x, p_r_x
 
 
 def marginal_term_rate(params: ClassicalParams) -> Probability:

@@ -94,6 +94,22 @@ def field_names(cls) -> "tuple[str, ...]":
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
+class ModelParams:
+    """Base of a model's parameter class, a frozen dataclass of floats.  The
+    subclass states its model's rules once: ``name``; its box [0, ``bound``],
+    spelled ``bound_text``; ``flags(margin)``, the pair (accardi_defined,
+    boost_defined); ``stream_rates()``, P(R), P(X|R), P(X|~R), P(X), P(R|X).
+    """
+
+    def __post_init__(self):
+        bound = self.bound
+        for field in self.__match_args__:  # the dataclass's fields, in order
+            v = float(getattr(self, field))
+            if not (0.0 <= v <= bound):
+                raise ValueError(f"{field} must lie in [0, {self.bound_text}], got {v!r}")
+            object.__setattr__(self, field, v)
+
+
 def fields_dict(value) -> Optional[dict]:
     """A dataclass instance's fields as a new dict; None stays None.
 

@@ -29,23 +29,29 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
-from .probcore import EPS_DENOM, Probability, total_probability
+from .probcore import EPS_DENOM, ModelParams, Probability, total_probability
 
 
 @dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(ModelParams):
     """Query-state angle phi and term-state angle alpha, radians in [0, pi]."""
 
     name: ClassVar[str] = "quantum"  # model name in every output
+    bound: ClassVar[float] = math.pi  # the box: every parameter lies in [0, bound]
+    bound_text: ClassVar[str] = "pi"
     phi: float
     alpha: float
 
-    def __post_init__(self):
-        for name in ("phi", "alpha"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= math.pi):
-                raise ValueError(f"{name} must lie in [0, pi], got {v!r}")
-            object.__setattr__(self, name, v)
+    def flags(self, margin):
+        cos_phi, cos_alpha = math.cos(self.phi), math.cos(self.alpha)
+        return accardi_defined(cos_alpha, margin), boost_defined(cos_phi, margin)
+
+    def stream_rates(self):
+        r = quantum_rates(self)
+        # P(X) is the direct measurement.  Collapse rule (posterior_quantum):
+        # the second measurement sees only the eigenstate the first selected,
+        # never |q>; after collapsing onto |X>, P(R) = |<R|X>|^2 = P(X|R).
+        return r.p_r, r.p_x_given_r, r.p_x_given_n, r.p_x_direct, r.p_x_given_r
 
 
 @dataclass(frozen=True)

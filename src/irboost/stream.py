@@ -43,17 +43,18 @@ import functools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
 
-from .classical import ClassicalParams, marginal_term_rate
+from .classical import ClassicalParams
 from .errors import ArmStarvation, BoostUndefined, UndefinedQuantity
 from .probcore import (
     ArmCounts,
     EstimateWithError,
+    ModelParams,
     RateTriple,
     accardi_from_counts,
     boost,
@@ -61,9 +62,7 @@ from .probcore import (
     fields_dict,
     with_error,
 )
-from .quantum import QuantumParams, quantum_rates
-
-ModelParams = Union[ClassicalParams, QuantumParams]
+from .quantum import QuantumParams
 
 # Raw-draw budget per arm; acceptance probabilities below 1/MAX_DRAWS_FACTOR
 # starve the arm instead of hanging the run.
@@ -236,21 +235,7 @@ def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     Cached for the last model: every arm of a run goes through
     ``simulate_arm``, and the five share one computation of the rates.
     """
-    if isinstance(model, ClassicalParams):
-        p_r, p_x_r, p_x_n = model.p, model.q_r, model.q_n
-        p_x = marginal_term_rate(model)
-        # the one rate rounding can push past 1: the others are validated
-        # parameters, clamped by total_probability, or exact quantum halves
-        p_r_x = min(1.0, p_r * p_x_r / p_x) if p_x > 0.0 else 0.0
-    elif isinstance(model, QuantumParams):
-        r = quantum_rates(model)
-        p_r, p_x_r, p_x_n, p_x = r.p_r, r.p_x_given_r, r.p_x_given_n, r.p_x_direct
-        # Collapse rule: the second measurement's success probability
-        # depends only on the eigenstate selected by the first, never on
-        # |q>; after collapsing onto |X>, P(R) = |<R|X>|^2 = P(X|R).
-        p_r_x = p_x_r
-    else:
-        raise TypeError(f"unsupported model parameters: {model!r}")
+    p_r, p_x_r, p_x_n, p_x, p_r_x = model.stream_rates()
     return ((p_r, p_x_r), (1.0 - p_r, p_x_n), (1.0, p_x), (p_x, p_r_x), (1.0, p_r))
 
 

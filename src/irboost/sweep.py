@@ -2,8 +2,9 @@
 evaluation, empirical estimation from external count files, and the CSV /
 JSON output layer.
 
-Sampling domains are the minimal natural ones: classical (p, q_r, q_n)
-iid uniform on [0, 1]^3; quantum (phi, alpha) iid uniform on [0, pi]^2.
+Sampling domains are the boxes the parameter classes state: every
+parameter iid uniform on [0, bound], so classical (p, q_r, q_n) on
+[0, 1]^3 and quantum (phi, alpha) on [0, pi]^2.
 Points within ``exclusion_margin`` of a singular manifold (|q_r - q_n|,
 |cos alpha|, or P(R) too small) are emitted with validity flags set to
 False rather than dropped, so a sweep stays an unbiased uniform sample and
@@ -20,9 +21,10 @@ of evaluation order.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .probcore import (
     EPS_DENOM,
     ArmCounts,
     EstimateWithError,
+    ModelParams,
     accardi_from_counts,
     field_names,
     fields_dict,
@@ -43,8 +46,6 @@ from .quantum import QuantumParams
 from .stream import (
     _check_int, check_n_per_arm, check_seed, simulate_classical, simulate_quantum
 )
-
-Params = Union[ClassicalParams, QuantumParams]
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
 MODES = ("analytic", "montecarlo")
@@ -78,7 +79,7 @@ class SweepConfig:
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if not isinstance(self.model, str) or self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         n_points = _check_int(self.n_points, 1, math.inf, "n_points must be >= 1")
         object.__setattr__(self, "n_points", n_points)
@@ -93,7 +94,7 @@ class ScatterPoint(NamedTuple):
     """One (A, Delta) point; a/delta are NaN when the matching flag is False."""
 
     model: str
-    params: Params
+    params: ModelParams
     a: float
     delta: float
     accardi_defined: bool
@@ -133,17 +134,20 @@ class CountEstimate:
 # ---------------------------------------------------------------------------
 
 def sample_params(config: SweepConfig) -> np.ndarray:
-    """Uniform parameter matrix, one row per point (3 or 2 columns)."""
+    """Uniform parameter matrix in the model's box, one row per point."""
+    cls = MODELS[config.model]
     rng = np.random.default_rng(config.seed)
-    if config.model == "classical":
-        return rng.random((config.n_points, 3))
-    return rng.random((config.n_points, 2)) * math.pi
+    return rng.random((config.n_points, len(field_names(cls)))) * cls.bound
 
 
 def _margin(margin: float) -> float:
     """The margin the models' rules take for an exclusion margin: at least
     EPS_DENOM.  ValueError unless the exclusion margin lies in [0, 0.5)."""
-    if not 0.0 <= margin < 0.5:
+    try:
+        ok = 0.0 <= margin < 0.5
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
         raise ValueError("exclusion_margin must lie in [0, 0.5)")
     return margin if margin > EPS_DENOM else EPS_DENOM
 
@@ -158,20 +162,8 @@ def _run_args(mode: str, n_per_arm, seed, exclusion_margin: float):
     return n_per_arm, check_seed(seed), margin
 
 
-def _flags(params: Params, m: float):
-    """(accardi_defined, boost_defined) of one point by its model's rules at
-    the margin ``_margin`` gives."""
-    if isinstance(params, QuantumParams):
-        cos_phi, cos_alpha = math.cos(params.phi), math.cos(params.alpha)
-        return qm.accardi_defined(cos_alpha, m), qm.boost_defined(cos_phi, m)
-    if isinstance(params, ClassicalParams):
-        p, q_r, q_n = params.p, params.q_r, params.q_n
-        return cm.accardi_defined(q_r, q_n, m), cm.boost_defined(p, q_r, q_n, m)
-    raise TypeError(f"unsupported parameters: {params!r}")
-
-
 def _analytic_points(
-    model: str, mat: np.ndarray, params: "list[Params]", m: float
+    model: str, mat: np.ndarray, params: "list[ModelParams]", m: float
 ) -> list[ScatterPoint]:
     with np.errstate(divide="ignore", invalid="ignore"):
         if model == "classical":
@@ -191,9 +183,9 @@ def _analytic_points(
 
 
 def _montecarlo_point(
-    params: Params, n_per_arm: int, seed: int, m: float
+    params: ModelParams, n_per_arm: int, seed: int, m: float
 ) -> ScatterPoint:
-    accardi_ok, boost_ok = _flags(params, m)
+    accardi_ok, boost_ok = params.flags(m)
     a_est = b_est = None
     if accardi_ok or boost_ok:
         if isinstance(params, ClassicalParams):
@@ -258,7 +250,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
 
 
 def eval_point(
-    params: Params,
+    params: ModelParams,
     mode: str = "analytic",
     n_per_arm: int = DEFAULT_N_PER_ARM,
     seed: int = 0,
@@ -271,7 +263,7 @@ def eval_point(
     if mode == "montecarlo":
         return _montecarlo_point(params, n_per_arm, seed, m)
 
-    accardi_ok, boost_ok = _flags(params, m)
+    accardi_ok, boost_ok = params.flags(m)
     # looked up at call time, so wrappers on the model modules see each call
     if isinstance(params, ClassicalParams):
         a_fn, d_fn = cm.accardi_classical, cm.boost_classical
@@ -421,21 +413,24 @@ _CSV_MODELS = {  # model column -> (parameter class, number of fields)
     for name, cls in {**MODELS, "empirical": ClassicalParams}.items()  # estimate rows
 }
 _TEXT_FLAG = {text: flag for flag, text in _FLAG_TEXT.items()}
+# a line as writers emit it: printable ASCII but space and "_" (\x5f); float()
+# would also take whitespace, "_" and non-ASCII digits in a value
+_WRITTEN = re.compile(r"[\x21-\x5e\x60-\x7e]*\n?")
 
 
 def read_csv(path) -> list[ScatterPoint]:
     """Parse a file written by ``export_csv``, exact value round-trip; a row
-    it never writes, such as one with a quoted field or a "\\r\\n" end, is
-    MalformedInput."""
+    it never writes, such as one with a quoted field, a "\\r\\n" end or a
+    space in a number, is MalformedInput."""
     points = []
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         try:
-            rows = map(_fields, fh)
-            header = next(rows, None)
+            header = next(map(_fields, fh), None)
             if header != CSV_HEADER:
                 raise MalformedInput(f"unexpected CSV header: {header!r}")
-            for row in rows:
-                if len(row) != len(CSV_HEADER):
+            for line in fh:
+                row = _fields(line)
+                if len(row) != len(CSV_HEADER) or not _WRITTEN.fullmatch(line):
                     raise MalformedInput(f"bad CSV row: {row!r}")
                 model, p1, p2, p3, a, delta, a_ok, b_ok = row
                 cls, n = _CSV_MODELS.get(model, (None, 0))

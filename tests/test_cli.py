@@ -194,6 +194,11 @@ class TestGnuplotCommand:
             "empirical,0.5,0.5,0.2,0.5,-inf,true,true",
             '"classical",0.5,0.5,0.2,0.5,0.6,true,true',  # a quoted field
             "classical,0.5,0.5,0.2,0.5,0.6,true,true\r",  # a "\r\n" end
+            # spellings float() takes but no writer emits
+            "classical, 0.5,0.8,0.2,0.5,10,true,true",  # a space
+            "classical,0.5,0.8,0.2,0.5,10\t,true,true",  # a tab
+            "classical,0.5,0.8,0.2,0.5,1_0,true,true",  # an underscore
+            "quantum,\uff11.\uff10,0.7,,0.5,2,true,true",  # full-width digits
         ],
     )
     def test_rejects_rows_export_csv_never_writes(self, row, tmp_path, capsys):

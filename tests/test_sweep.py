@@ -1,6 +1,7 @@
 import importlib
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,8 @@ class TestSweepAnalytic:
             SweepConfig("classical", 0, 0)
         with pytest.raises(ValueError):
             SweepConfig("classical", 10, 0, mode="exact")
+        with pytest.raises(ValueError, match="unknown model"):
+            SweepConfig(["classical"], 10, 0)  # unhashable
 
 
 class TestNPointsRule:
@@ -237,7 +240,7 @@ class TestEvalPointRules:
             SweepConfig("quantum", 2, seed=0, mode=mode)
 
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
-    @pytest.mark.parametrize("margin", [-1, 0.5, 5.0, math.nan])
+    @pytest.mark.parametrize("margin", [-1, 0.5, 5.0, math.nan, None, "0.1"])
     def test_bad_margin_rejected(self, margin, mode):
         # the second quantum point is flagged on both counts at any margin;
         # the bad seed shows that both check the margin first
@@ -274,9 +277,24 @@ class TestEstimateFromFile:
         outcome = estimate_from_file(path)
         assert outcome.point.a == pytest.approx(0.25, abs=1e-12)
 
-    def test_inconsistent_counts(self, tmp_path):
-        path = self.write(tmp_path, "1000 500 600 100 500\n")
-        with pytest.raises(MalformedInput):
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ("1000 500 400 -1 500", "counts must be nonnegative"),
+            ("0 0 0 0 0", "N must be positive"),
+            ("1000 1001 400 0 500", "N_R=1001 exceeds N=1000"),
+            ("1000 500 600 100 500", "N_XR=600 exceeds N_R=500"),
+            ("1000 500 400 501 500", "N_XN=501 exceeds N - N_R=500"),
+            ("1000 500 400 100 1001", "N_X=1001 exceeds N=1000"),
+        ],
+        ids=[
+            "negative", "n-zero", "n_r-exceeds-n", "n_xr-exceeds-n_r", "n_xn-exceeds-rest",
+            "n_x-exceeds-n",
+        ],
+    )
+    def test_inconsistent_counts(self, counts, message, tmp_path):
+        path = self.write(tmp_path, counts + "\n")
+        with pytest.raises(MalformedInput, match=re.escape(message)):
             estimate_from_file(path)
 
     def test_wrong_token_count(self, tmp_path):
