@@ -1,6 +1,11 @@
 """Toy models of query expansion: a classical urn and a quantum spin-1/2
 document stream, compared through the precision boost Delta and the Accardi
 statistical invariant A.
+
+The package name ``sweep`` is the function ``irboost.sweep.sweep``, bound
+over the submodule of the same name, so ``import irboost.sweep as sw``
+gives the function.  The module is
+``importlib.import_module("irboost.sweep")``.
 """
 
 from .classical import (

@@ -11,6 +11,10 @@ Conventions
 * Accardi invariant A = (P(X) - P(X|~R)) / (P(X|R) - P(X|~R)).
   When the law of total probability holds, A = P(R) and 0 <= A <= 1.
 * Precision boost Delta = (P(R|X) - P(R)) / P(R).
+
+Each of A and Delta has one float-level rule, ``accardi_of_rates`` and
+``boost_of_rates``; the checked estimators and a Monte Carlo sweep point
+all compute it through that rule.
 """
 
 from __future__ import annotations
@@ -121,6 +125,25 @@ def fields_dict(value) -> Optional[dict]:
     return {k: getattr(value, k) for k in field_names(type(value))}
 
 
+def accardi_of_rates(p_x_given_r: float, p_x_given_n: float, p_x: float) -> float:
+    """Accardi ratio (P(X) - P(X|~R)) / (P(X|R) - P(X|~R)) of three plain
+    floats, unchecked; NaN where it is undefined: where
+    |P(X|R) - P(X|~R)| <= EPS_DENOM, or where a rate is NaN."""
+    denom = p_x_given_r - p_x_given_n
+    if abs(denom) > EPS_DENOM:  # False for a NaN denominator
+        return (p_x - p_x_given_n) / denom
+    return math.nan
+
+
+def boost_of_rates(p_r_given_x: float, p_r: float) -> float:
+    """Relative precision boost (P(R|X) - P(R)) / P(R) of two plain floats,
+    unchecked; NaN where it is undefined: where P(R) <= EPS_DENOM, or where
+    a rate is NaN."""
+    if p_r > EPS_DENOM:  # False for a NaN P(R)
+        return (p_r_given_x - p_r) / p_r
+    return math.nan
+
+
 def accardi(rates: RateTriple) -> float:
     """Accardi invariant of a rate triple; an unbounded real.
 
@@ -128,12 +151,12 @@ def accardi(rates: RateTriple) -> float:
     term does not discriminate relevance): |P(X|R) - P(X|~R)| <= EPS_DENOM,
     the models' rule at zero margin.
     """
-    denom = rates.p_x_given_r - rates.p_x_given_n
-    if abs(denom) <= EPS_DENOM:
+    a = accardi_of_rates(rates.p_x_given_r, rates.p_x_given_n, rates.p_x)
+    if math.isnan(a):  # a Probability is never NaN
         raise AccardiUndefined(
             f"P(X|R) = P(X|~R) = {rates.p_x_given_r} within tolerance"
         )
-    return (rates.p_x - rates.p_x_given_n) / denom
+    return a
 
 
 def boost(p_r_given_x: float, p_r: float) -> float:
@@ -143,11 +166,10 @@ def boost(p_r_given_x: float, p_r: float) -> float:
     exist, so a relative boost is meaningless), the models' rule at zero
     margin.
     """
-    post = Probability(p_r_given_x)
-    prior = Probability(p_r)
-    if prior <= EPS_DENOM:
+    delta = boost_of_rates(Probability(p_r_given_x), Probability(p_r))
+    if math.isnan(delta):
         raise BoostUndefined(f"baseline P(R)={p_r} is effectively zero")
-    return (post - prior) / prior
+    return delta
 
 
 def total_probability(

@@ -137,7 +137,10 @@ class SimResult:
     ``arms`` maps each ArmKind to its tally, or to None if that arm starved
     (acceptance probability effectively zero).  ``rates``, ``accardi_est``
     and ``boost_est`` are computed from the tallies when read; each is None
-    whenever an arm it depends on starved or the quantity is undefined.
+    whenever an arm it depends on starved or the quantity is undefined.  A
+    Monte Carlo sweep point reads only the two estimates' values, straight
+    from the tallies through the same float rules
+    (``probcore.accardi_of_rates``, ``probcore.boost_of_rates``).
     """
 
     config: SimConfig
@@ -316,6 +319,12 @@ def _tally(
 
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
+    # Each arm goes through the module-level simulate_arm (in _tally), looked
+    # up at call time, though the run has checked its arguments already:
+    # bench/tracing.py counts one stream.simulate_arm span per arm, and the
+    # stream.arm_us metric divides by that count, so a run that routes around
+    # the call kills the traced benchmark with ZeroDivisionError.  Keep the
+    # call until the tracer hooks the arms elsewhere.
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
     arms = {kind: _tally(model, kind, n_per_arm, seed) for kind in ArmKind}
     return SimResult(config, arms, _tally(model, None, n_per_arm, seed))

@@ -38,13 +38,16 @@ from .probcore import (
     EstimateWithError,
     ModelParams,
     accardi_from_counts,
+    accardi_of_rates,
+    boost_of_rates,
     field_names,
     fields_dict,
     with_error,
 )
 from .quantum import QuantumParams
 from .stream import (
-    _check_int, check_n_per_arm, check_seed, simulate_classical, simulate_quantum
+    _ACCARDI_ARMS, ArmKind, ArmTally, _check_int, check_n_per_arm, check_seed,
+    simulate_classical, simulate_quantum,
 )
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
@@ -182,25 +185,36 @@ def _analytic_points(
     return [ScatterPoint(model, *row) for row in zip(params, *columns)]
 
 
+def _rate(tally: Optional[ArmTally]) -> float:
+    """An arm's success rate, as ``estimate_rate`` reads it; NaN if it starved."""
+    return math.nan if tally is None else tally.counts.n_success / tally.counts.n_total
+
+
 def _montecarlo_point(
     params: ModelParams, n_per_arm: int, seed: int, m: float
 ) -> ScatterPoint:
+    """One Monte Carlo point: ``a`` and ``delta`` equal the run's
+    ``accardi_est.estimate`` and ``boost_est.estimate`` bit for bit, read
+    from the tallies through the same float rules without building the
+    estimates; NaN with a false flag where the margin, a starved arm or
+    the rule leaves a quantity undefined."""
     accardi_ok, boost_ok = params.flags(m)
-    a_est = b_est = None
+    a = delta = math.nan
     if accardi_ok or boost_ok:
+        # looked up at call time, so wrappers on this module see each run
         if isinstance(params, ClassicalParams):
             result = simulate_classical(params, n_per_arm, seed)
         else:
             result = simulate_quantum(params, n_per_arm, seed)
-        a_est = result.accardi_est if accardi_ok else None
-        b_est = result.boost_est if boost_ok else None
+        arms = result.arms
+        if accardi_ok:
+            a = accardi_of_rates(*[_rate(arms[kind]) for kind in _ACCARDI_ARMS])
+        if boost_ok:
+            delta = boost_of_rates(
+                _rate(arms[ArmKind.EXPAND_THEN_RELEVANCE]), _rate(result.baseline)
+            )
     return ScatterPoint(
-        params.name,
-        params,
-        a_est.estimate if a_est is not None else math.nan,
-        b_est.estimate if b_est is not None else math.nan,
-        a_est is not None,
-        b_est is not None,
+        params.name, params, a, delta, not math.isnan(a), not math.isnan(delta)
     )
 
 

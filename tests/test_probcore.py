@@ -20,7 +20,7 @@ from irboost import (
     posterior_bayes,
     total_probability,
 )
-from irboost.probcore import EPS_DENOM, with_error
+from irboost.probcore import EPS_DENOM, accardi_of_rates, boost_of_rates, with_error
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -82,6 +82,18 @@ class TestAccardi:
         p_x = total_probability(q_r, q_n, p)
         assert accardi(RateTriple(q_r, q_n, p_x)) == pytest.approx(p, abs=1e-12)
 
+    @given(r=unit, n=unit, x=unit)
+    @settings(max_examples=300)
+    def test_float_rule_is_accardi_or_nan(self, r, n, x):
+        # bit for bit where accardi is defined, NaN where it raises
+        try:
+            want = accardi(RateTriple(r, n, x))
+        except AccardiUndefined:
+            want = math.nan
+        assert accardi_of_rates(r, n, x).hex() == want.hex()
+        assert math.isnan(accardi_of_rates(math.nan, n, x))
+        assert math.isnan(accardi_of_rates(r, n, math.nan))
+
 
 class TestBoost:
     def test_hand_arithmetic(self):
@@ -107,6 +119,17 @@ class TestBoost:
             boost_classical(params)
         above = math.nextafter(EPS_DENOM, 1.0)
         assert boost(above, above) == 0.0
+
+    @given(post=unit, prior=st.one_of(unit, st.just(EPS_DENOM)))
+    @settings(max_examples=300)
+    def test_float_rule_is_boost_or_nan(self, post, prior):
+        try:
+            want = boost(post, prior)
+        except BoostUndefined:
+            want = math.nan
+        assert boost_of_rates(post, prior).hex() == want.hex()
+        assert math.isnan(boost_of_rates(math.nan, prior))
+        assert math.isnan(boost_of_rates(post, math.nan))
 
 
 class TestWithError:

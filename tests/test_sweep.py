@@ -2,10 +2,14 @@ import importlib
 import io
 import math
 import re
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irboost import (
     ClassicalParams,
@@ -29,6 +33,23 @@ from irboost.sweep import (
     write_csv,
     write_gnuplot,
 )
+
+# parameters in each model's box, its ends and its singular points included
+_unit = st.one_of(st.sampled_from([0.0, 1e-12, 0.5, 1.0]), st.floats(0.0, 1.0))
+_angle = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi - 2e-4, math.pi]), st.floats(0.0, math.pi)
+)
+
+
+def test_package_name_sweep_is_the_function():
+    # irboost/__init__.py binds the function over the submodule of the same
+    # name; the module is reached through importlib, as the docs say
+    import irboost
+    import irboost.sweep as bound
+
+    module = importlib.import_module("irboost.sweep")
+    assert bound is irboost.sweep is sweep is module.sweep
+    assert isinstance(module, types.ModuleType) and module is sys.modules["irboost.sweep"]
 
 
 class TestSweepAnalytic:
@@ -197,6 +218,40 @@ class TestSweepMonteCarlo:
         seeds.update(root.generate_state(200_000, np.uint64).tolist())
         assert len(seeds) == 200_000
         assert max(seeds) >= 2**32
+
+    # Tied conditional tallies (A undefined), an all-failure baseline (Delta
+    # undefined) and starving arms; the seeds were picked to hit each.
+    @example(ClassicalParams(0.5, 0.6, 0.4), 1, 0, 1e-6)  # tied conditionals
+    @example(QuantumParams(1.0, 1.0), 2, 2, 1e-6)  # tied conditionals
+    @example(ClassicalParams(0.2, 0.7, 0.3), 1, 0, 1e-6)  # all-failure baseline
+    @example(QuantumParams(2.0, 1.0), 1, 1, 1e-6)  # all-failure baseline
+    @example(ClassicalParams(1.0, 0.6, 0.4), 3, 0, 1e-6)  # ~R arm starves
+    @example(QuantumParams(math.pi - 2e-4, 1.0), 3, 0, 0.0)  # R arm starves
+    @example(QuantumParams(0.0, math.pi - 2e-4), 3, 0, 0.0)  # expansion arm starves
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.one_of(
+            st.builds(ClassicalParams, _unit, _unit, _unit),
+            st.builds(QuantumParams, _angle, _angle),
+        ),
+        n_per_arm=st.one_of(st.integers(1, 5), st.just(100)),
+        seed=st.integers(0, 2**64 - 1),
+        margin=st.sampled_from([0.0, DEFAULT_EXCLUSION_MARGIN, 0.3]),
+    )
+    def test_point_reads_the_run_estimates(self, params, n_per_arm, seed, margin):
+        # a point's a, delta and flags are the run's accardi_est and
+        # boost_est, bit for bit, at the point's flags; NaN and a false
+        # flag where those are None
+        pt = eval_point(params, "montecarlo", n_per_arm, seed, margin)
+        a_ok, d_ok = eval_point(params, exclusion_margin=margin)[4:]
+        simulate = simulate_classical if params.name == "classical" else simulate_quantum
+        res = simulate(params, n_per_arm, seed)
+        a_est = res.accardi_est if a_ok else None
+        b_est = res.boost_est if d_ok else None
+        assert pt.accardi_defined == (a_est is not None)
+        assert pt.boost_defined == (b_est is not None)
+        assert pt.a.hex() == (a_est.estimate if a_est else math.nan).hex()
+        assert pt.delta.hex() == (b_est.estimate if b_est else math.nan).hex()
 
 
 def _mc_seed(seed, index):
