@@ -52,6 +52,27 @@ def _common_flags(parser: argparse.ArgumentParser, fmt=True, seed=True) -> None:
         )
 
 
+def _n_per_arm_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--n-per-arm",
+        type=int,
+        default=DEFAULT_N_PER_ARM,
+        help=(
+            "accepted documents per Monte Carlo measurement arm "
+            f"(default {DEFAULT_N_PER_ARM})"
+        ),
+    )
+
+
+def _model_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--model",
+        choices=MODELS,
+        required=True,
+        help="document model: classical (urn) or quantum (spin-1/2)",
+    )
+
+
 def _point_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
@@ -59,12 +80,72 @@ def _point_flags(parser: argparse.ArgumentParser) -> None:
         default="analytic",
         help="closed forms or Monte Carlo estimation (default analytic)",
     )
-    parser.add_argument(
-        "--n-per-arm",
+    _n_per_arm_flag(parser)
+
+
+def _classical_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("p", type=float, help="prior relevance P(R)")
+    p.add_argument("q_r", type=float, help="term rate among relevant, P(X|R)")
+    p.add_argument("q_n", type=float, help="term rate among non-relevant, P(X|~R)")
+    _point_flags(p)
+    _common_flags(p)
+
+
+def _quantum_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("phi", type=float, help="query-state angle in [0, pi]")
+    p.add_argument("alpha", type=float, help="term-state angle in [0, pi]")
+    _point_flags(p)
+    _common_flags(p)
+
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    _model_flag(p)
+    p.add_argument(
+        "--n-points",
         type=int,
-        default=DEFAULT_N_PER_ARM,
-        help="accepted documents per measurement arm in montecarlo mode",
+        default=10_000,
+        help="number of sampled parameter points (default %(default)s)",
     )
+    _point_flags(p)
+    p.add_argument(
+        "--exclusion-margin",
+        type=float,
+        default=DEFAULT_EXCLUSION_MARGIN,
+        help="guard band around singular parameters (flagged, not dropped)",
+    )
+    _common_flags(p)
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    _model_flag(p)
+    p.add_argument(
+        "--params",
+        required=True,
+        help="comma-separated parameters: classical p,q_r,q_n or quantum phi,alpha",
+    )
+    _n_per_arm_flag(p)
+    _common_flags(p, fmt=False)
+
+
+def _estimate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="file with counts: N N_R N_XR N_XN N_X")
+    _common_flags(p, seed=False)
+
+
+def _gnuplot_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="CSV file produced by the sweep subcommand")
+    _common_flags(p, fmt=False, seed=False)
+
+
+# subcommand name: (its line in the top-level help, the function adding its arguments)
+_COMMANDS = {
+    "classical": ("evaluate one urn-model point", _classical_args),
+    "quantum": ("evaluate one spin-1/2 point", _quantum_args),
+    "sweep": ("uniform parameter sweep", _sweep_args),
+    "simulate": ("one Monte Carlo stream run (JSON)", _simulate_args),
+    "estimate": ("empirical point from a five-count text file", _estimate_args),
+    "gnuplot": ("reformat a sweep CSV as two-column 'a delta'", _gnuplot_args),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,60 +157,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classical", help="evaluate one urn-model point")
-    p.add_argument("p", type=float, help="prior relevance P(R)")
-    p.add_argument("q_r", type=float, help="term rate among relevant, P(X|R)")
-    p.add_argument("q_n", type=float, help="term rate among non-relevant, P(X|~R)")
-    _point_flags(p)
-    _common_flags(p)
-
-    p = sub.add_parser("quantum", help="evaluate one spin-1/2 point")
-    p.add_argument("phi", type=float, help="query-state angle in [0, pi]")
-    p.add_argument("alpha", type=float, help="term-state angle in [0, pi]")
-    _point_flags(p)
-    _common_flags(p)
-
-    p = sub.add_parser("sweep", help="uniform parameter sweep")
-    p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--n-points", type=int, default=10_000)
-    _point_flags(p)
-    p.add_argument(
-        "--exclusion-margin",
-        type=float,
-        default=DEFAULT_EXCLUSION_MARGIN,
-        help="guard band around singular parameters (flagged, not dropped)",
-    )
-    _common_flags(p)
-
-    p = sub.add_parser("simulate", help="one Monte Carlo stream run (JSON)")
-    p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument(
-        "--params",
-        required=True,
-        help="comma-separated parameters: classical p,q_r,q_n or quantum phi,alpha",
-    )
-    p.add_argument(
-        "--n-per-arm",
-        type=int,
-        default=DEFAULT_N_PER_ARM,
-        help=f"accepted documents per measurement arm (default {DEFAULT_N_PER_ARM})",
-    )
-    _common_flags(p, fmt=False)
-
-    p = sub.add_parser(
-        "estimate", help="empirical point from a five-count text file"
-    )
-    p.add_argument("path", help="file with counts: N N_R N_XR N_XN N_X")
-    _common_flags(p, seed=False)
-
-    p = sub.add_parser(
-        "gnuplot", help="reformat a sweep CSV as two-column 'a delta'"
-    )
-    p.add_argument("path", help="CSV file produced by the sweep subcommand")
-    _common_flags(p, fmt=False, seed=False)
-
+    for name, (help_text, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named
+    subcommand's parser when ``argv`` parses through it alone."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        # the parser sub.add_parser(argv[0]) makes in build_parser
+        parser = argparse.ArgumentParser(prog=f"irboost {argv[0]}")
+        command[1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # no subcommand, or arguments left over: the top-level usage text and
+    # the "unrecognized arguments" error need the full parser
+    return build_parser().parse_args(argv)
 
 
 @contextlib.contextmanager
@@ -210,8 +257,7 @@ def _run(args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _run(args)
     except (ValueError, MemoryError) as exc:  # MalformedInput is a ValueError

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from irboost import cli
 from irboost.cli import main
 from irboost.sweep import CSV_HEADER
 
@@ -314,3 +315,91 @@ class TestJsonKeyOrder:
         assert list(doc["estimates"]) == ["accardi", "boost"]
         assert list(doc["estimates"]["accardi"]) == self.ESTIMATE
         assert list(doc["estimates"]["boost"]) == self.ESTIMATE
+
+
+# argvs that main reads through one subcommand's parser, or falls back on the
+# full build_parser() for; each must come out as from the full parser alone
+PARSE_BATTERY = [
+    [],
+    ["-h"],
+    ["--help", "classical"],
+    ["bogus", "0.5"],
+    ["Classical", "0.5", "0.8", "0.2"],
+    *(
+        [name, "-h"]
+        for name in ("classical", "quantum", "sweep", "simulate", "estimate", "gnuplot")
+    ),
+    ["classical", "--", "0.5", "0.8", "0.2"],
+    ["classical", "0.5", "0.8", "0.2", "--mod", "analytic", "--n-per", "5"],
+    ["classical", "0.5", "0.8", "0.2", "--format=json"],
+    ["classical", "-1e-3", "0.8", "0.2"],
+    ["quantum", "-0.5", "0.7"],
+    ["quantum", "1.0", "0.7", "--seed", "-3"],
+    ["sweep", "--model", "quantum", "--n-points", "5", "--n-points", "3"],
+    ["sweep", "--model", "classical", "--n-points", "3", "--out"],
+    ["classical", "0.5", "0.8", "0.2", "--bogus"],
+    ["classical", "0.5", "0.8", "0.2", "extra"],
+    ["classical", "0.5", "0.8", "0.2", "-x"],
+    ["-x", "classical", "0.5", "0.8", "0.2"],
+    ["classical", "0.5", "0.8"],
+    ["simulate", "--model", "quantum", "--params", "-0.5,0.7"],
+    ["estimate", "counts.txt", "--seed", "1"],
+]
+
+
+class _FullTreeBuilt(Exception):
+    pass
+
+
+class TestParseRoutes:
+    """main builds only the subcommand its argv names, and falls back on the
+    full parser otherwise; either way the result is the full parser's."""
+
+    @staticmethod
+    def _outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv", PARSE_BATTERY, ids=lambda argv: " ".join(argv) or "no-args"
+    )
+    def test_same_as_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcome = self._outcome(argv, capsys)
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        if expected is not None:
+            assert cli._parse(argv) == expected
+        monkeypatch.setattr(cli, "_parse", lambda a: cli.build_parser().parse_args(a))
+        assert self._outcome(argv, capsys) == outcome
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "0.5", "0.8", "0.2"],
+            ["quantum", "1.0", "0.7", "--format", "json"],
+            ["sweep", "--model", "quantum", "--n-points", "3", "--seed", "1"],
+            ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--n-per-arm", "100"],
+            ["estimate", str(DATA / "counts.txt")],
+            ["gnuplot", str(DATA / "sweep.csv")],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_named_subcommand_never_builds_the_full_tree(self, argv, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", self._full_tree)
+        assert main(argv) == 0
+
+    def test_unknown_option_falls_back_on_the_full_tree(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", self._full_tree)
+        with pytest.raises(_FullTreeBuilt):
+            main(["classical", "0.5", "0.8", "0.2", "--bogus"])
+
+    @staticmethod
+    def _full_tree():
+        raise _FullTreeBuilt
