@@ -47,11 +47,11 @@ class QuantumParams(ModelParams):
         return accardi_defined(cos_alpha, margin), boost_defined(cos_phi, margin)
 
     def stream_rates(self):
-        r = quantum_rates(self)
+        p_r, p_x_r, p_x_n, p_x = _born_rates(self)
         # P(X) is the direct measurement.  Collapse rule (posterior_quantum):
         # the second measurement sees only the eigenstate the first selected,
         # never |q>; after collapsing onto |X>, P(R) = |<R|X>|^2 = P(X|R).
-        return r.p_r, r.p_x_given_r, r.p_x_given_n, r.p_x_direct, r.p_x_given_r
+        return p_r, p_x_r, p_x_n, p_x, p_x_r
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,18 @@ class QuantumRates:
     p_x_direct: Probability
 
 
+def _born_rates(params: QuantumParams) -> "tuple[float, float, float, float]":
+    """``quantum_rates``' four rates as plain floats, in field order."""
+    cp = math.cos(params.phi)
+    ca = math.cos(params.alpha)
+    return (
+        (1.0 + cp) / 2.0,
+        (1.0 + ca) / 2.0,
+        (1.0 - ca) / 2.0,
+        (1.0 + math.cos(params.phi - params.alpha)) / 2.0,
+    )
+
+
 def quantum_rates(params: QuantumParams) -> QuantumRates:
     """All four measurement rates:
 
@@ -80,14 +92,7 @@ def quantum_rates(params: QuantumParams) -> QuantumRates:
     Each lies in [0, 1] as computed: 1 +- cos rounds to a double in [0, 2],
     and halving it is exact.
     """
-    cp = math.cos(params.phi)
-    ca = math.cos(params.alpha)
-    return QuantumRates(
-        p_r=Probability((1.0 + cp) / 2.0),
-        p_x_given_r=Probability((1.0 + ca) / 2.0),
-        p_x_given_n=Probability((1.0 - ca) / 2.0),
-        p_x_direct=Probability((1.0 + math.cos(params.phi - params.alpha)) / 2.0),
-    )
+    return QuantumRates(*map(Probability, _born_rates(params)))
 
 
 def posterior_quantum(params: QuantumParams) -> Probability:

@@ -28,11 +28,15 @@ whatever n and p_acc are:
 Every arm draws from its own RNG substream keyed by (seed, arm index), so
 arm results are independent of the order (or parallelism) in which arms are
 simulated, and identical configs give bit-identical results.  A run hashes
-its seed once: ``SeedSequence(seed)`` yields 24 64-bit words, four per
-substream, and substream i (arms 0-3, baseline 4) seeds a fresh PCG64 with
-words 4(i+1) .. 4(i+1)+3.  The first four words are skipped because
-``default_rng(seed)`` starts from them, so no arm shares its stream with a
-plain generator built from the same seed.
+its seed once into 24 64-bit words, four per substream, and substream i
+(arms 0-3, baseline 4) seeds a fresh PCG64 with words 4(i+1) .. 4(i+1)+3.
+The first four words are skipped because ``default_rng(seed)`` starts from
+them, so no arm shares its stream with a plain generator built from the
+same seed.  The 24 words are exactly
+``numpy.random.SeedSequence(seed).generate_state(24, np.uint64)``; they are
+computed from that sequence's mixed pool with ``generate_state``'s output
+hash in one NumPy pass instead of NumPy's word-by-word loop, and the tests
+check the two agree on the installed NumPy.
 """
 
 from __future__ import annotations
@@ -79,10 +83,13 @@ class ArmKind(enum.Enum):
     EXPAND_THEN_RELEVANCE = "expand_then_relevance"
 
 
-# Stable substream indices; the baseline tally takes index 4.
-_ARM_INDEX = {kind: i for i, kind in enumerate(ArmKind)}
-_BASELINE_INDEX = 4
 BASELINE_NAME = "baseline_relevance"
+# One row per substream, in substream order: (kind, index, tally name).  The
+# baseline relevance tally is kind None, index 4.
+_ARMS = (
+    *((kind, i, kind.value) for i, kind in enumerate(ArmKind)),
+    (None, 4, BASELINE_NAME),
+)
 # the arms whose rates the Accardi invariant takes, in RateTriple order
 _ACCARDI_ARMS = (
     ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM
@@ -255,13 +262,35 @@ class _Words(ISeedSequence):
         return self.words
 
 
+# The run's seed hash in uint32 words: four uint64 words per substream after
+# a skipped first block.  SeedSequence.generate_state's output hash constants
+# are c_0 = 0x8B51F9DD and c_(i+1) = c_i * 0x58F38DED mod 2**32; word i takes
+# c_i and c_(i+1), and pool word i % 4 (the default pool size).
+_N_HASH_WORDS = 2 * 4 * (len(_ARMS) + 1)
+_HASH_C = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(_N_HASH_WORDS + 1)],
+    np.uint32,
+)
+_HASH_XOR, _HASH_MUL = _HASH_C[:-1], _HASH_C[1:]
+_POOL_INDEX = np.arange(_N_HASH_WORDS) % 4
+
+
 @_last_call
 def _run_words(seed: int) -> np.ndarray:
-    """The run's one seed hash, four words per substream after a skipped
-    first block.  Cached for the last seed: the five arms of a run share it.
+    """The run's one seed hash, ``SeedSequence(seed).generate_state(24,
+    np.uint64)``, four words per substream after a skipped first block.
+    Cached for the last seed: the five arms of a run share it.
+
+    uint32 word i is ``x = pool[i % 4] ^ c_i; x *= c_(i+1); x ^= x >> 16``
+    (mod 2**32), as in ``generate_state``, but for all words in one pass.
     """
-    n_words = 4 * (_BASELINE_INDEX + 2)
-    words = np.random.SeedSequence(seed).generate_state(n_words, np.uint64)
+    x = np.random.SeedSequence(seed).pool[_POOL_INDEX]
+    x ^= _HASH_XOR
+    x *= _HASH_MUL
+    x ^= x >> 16
+    # paired the way generate_state pairs them, so every byte order gets the
+    # same words; both conversions are no-ops on a little-endian host
+    words = x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     words.setflags(write=False)
     return words
 
@@ -302,8 +331,11 @@ def simulate_arm(
     """
     n_per_arm = check_n_per_arm(n_per_arm)
     seed = check_seed(seed)
-    index = _BASELINE_INDEX if kind is None else _ARM_INDEX[kind]
-    name = BASELINE_NAME if kind is None else kind.value
+    for row_kind, index, name in _ARMS:
+        if row_kind is kind:
+            break
+    else:
+        raise KeyError(kind)
     p_acc, q_acc = _arm_rates(model)[index]
     return _run_arm(_arm_rng(seed, index), p_acc, q_acc, n_per_arm, name)
 
@@ -326,8 +358,10 @@ def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     # the call kills the traced benchmark with ZeroDivisionError.  Keep the
     # call until the tracer hooks the arms elsewhere.
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-    arms = {kind: _tally(model, kind, n_per_arm, seed) for kind in ArmKind}
-    return SimResult(config, arms, _tally(model, None, n_per_arm, seed))
+    n_per_arm, seed = config.n_per_arm, config.seed
+    arms = {kind: _tally(model, kind, n_per_arm, seed) for kind, _, _ in _ARMS}
+    baseline = arms.pop(None)
+    return SimResult(config, arms, baseline)
 
 
 def simulate_classical(

@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irboost import (
     AccardiUndefined,
     BoostUndefined,
+    Probability,
     QuantumParams,
     RateTriple,
     accardi,
@@ -55,6 +56,24 @@ class TestQuantumRates:
     def test_conditionals_are_complementary(self, phi, alpha):
         r = quantum_rates(QuantumParams(phi, alpha))
         assert r.p_x_given_r + r.p_x_given_n == pytest.approx(1.0, abs=1e-15)
+
+    @given(phi=angle, alpha=angle)
+    @example(phi=0.0, alpha=0.0)
+    @example(phi=0.0, alpha=math.pi)
+    @example(phi=math.pi, alpha=0.0)
+    @example(phi=math.pi, alpha=math.pi)
+    @settings(max_examples=500)
+    def test_stream_rates_are_the_rates_as_floats(self, phi, alpha):
+        # the five rates a document stream observes are quantum_rates' four,
+        # bit for bit, plus P(R|X) = P(X|R) (the collapse rule)
+        params = QuantumParams(phi, alpha)
+        r = quantum_rates(params)
+        fields = (r.p_r, r.p_x_given_r, r.p_x_given_n, r.p_x_direct)
+        assert all(type(f) is Probability for f in fields)
+        got = params.stream_rates()
+        assert all(type(v) is float for v in got)
+        want = (*fields, r.p_x_given_r)
+        assert [v.hex() for v in got] == [float.hex(f) for f in want]
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from irboost import (
     ArmKind,
@@ -455,6 +459,41 @@ class TestArmKeying:
     def test_seed_words_read_only(self):
         with pytest.raises(ValueError):
             _run_words(7)[0] = 0
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=1)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**64 - 1)
+    @settings(max_examples=300)
+    def test_seed_words_are_numpys(self, seed):
+        # the one-pass hash gives exactly the installed NumPy's words
+        words = _run_words(seed)
+        want = np.random.SeedSequence(seed).generate_state(24, np.uint64)
+        assert words.dtype == np.uint64 and words.shape == (24,)
+        assert np.array_equal(words, want)
+        assert not words.flags.writeable
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=2**64 - 1)
+    @settings(max_examples=50)
+    def test_substream_i_is_pcg64_from_words_4i_plus_4(self, seed):
+        # the documented construction: substream i seeds PCG64 with NumPy's
+        # own words 4(i+1) .. 4(i+1)+3
+        class Given(ISeedSequence):
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                assert (n_words, dtype) == (4, np.uint64)
+                return self.words
+
+        words = np.random.SeedSequence(seed).generate_state(24, np.uint64)
+        for i in range(5):
+            want = PCG64(Given(words[4 * (i + 1) : 4 * (i + 1) + 4])).state
+            assert _arm_rng(seed, i).bit_generator.state == want
 
     @pytest.mark.parametrize(
         "memo, args",
