@@ -8,14 +8,17 @@ Subcommands:
   estimate FILE         empirical (A, Delta) from a five-count file
   gnuplot FILE          reformat a sweep CSV as two-column 'a delta' text
 
-Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure.
+Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure
+(a closed output pipe among them).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -187,7 +190,17 @@ def _output(args):
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             yield fh
     else:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()  # a failure exits 3 here, not 120 at exit
+        except OSError:
+            # fd 1 is gone: point it at the null device, so the flush at
+            # exit has nowhere to fail again
+            with contextlib.suppress(OSError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise
 
 
 def _write_points(args, points, summary=None, **extra) -> None:
@@ -197,7 +210,11 @@ def _write_points(args, points, summary=None, **extra) -> None:
     else:  # rendered before the file opens, so its buffer adds nothing to the peak
         text = json.dumps({**points_to_json_dict(points, summary), **extra}, indent=2)
         with _output(args) as out:
-            out.write(text + "\n")
+            # in pieces: an unbuffered stdout drops the rest of a short write
+            # unseen, so only a later write can see the reader gone
+            for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                out.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
+            out.write("\n")
 
 
 def _parse_params(model: str, text: str):

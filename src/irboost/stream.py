@@ -45,6 +45,7 @@ import contextlib
 import enum
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -61,7 +62,9 @@ from .probcore import (
     ModelParams,
     RateTriple,
     accardi_from_counts,
+    accardi_of_rates,
     boost,
+    boost_of_rates,
     estimate_rate,
     fields_dict,
     with_error,
@@ -144,10 +147,9 @@ class SimResult:
     ``arms`` maps each ArmKind to its tally, or to None if that arm starved
     (acceptance probability effectively zero).  ``rates``, ``accardi_est``
     and ``boost_est`` are computed from the tallies when read; each is None
-    whenever an arm it depends on starved or the quantity is undefined.  A
-    Monte Carlo sweep point reads only the two estimates' values, straight
-    from the tallies through the same float rules
-    (``probcore.accardi_of_rates``, ``probcore.boost_of_rates``).
+    whenever an arm it depends on starved or the quantity is undefined.
+    This class also owns the cheaper read of the two estimates' values
+    alone, which a Monte Carlo sweep point takes.
     """
 
     config: SimConfig
@@ -158,6 +160,18 @@ class SimResult:
         """Counts of the three arms A is read from, or None if one starved."""
         tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
         return None if None in tallies else [t.counts for t in tallies]
+
+    def _estimate_values(self) -> "tuple[float, float]":
+        """(``accardi_est.estimate``, ``boost_est.estimate``) bit for bit, NaN
+        for an estimate that is None, through the same float rules on each
+        tally's rate without building the estimates."""
+        tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
+        tallies += self.arms[ArmKind.EXPAND_THEN_RELEVANCE], self.baseline
+        r, n, direct, expand, base = [
+            math.nan if t is None else t.counts.n_success / t.counts.n_total
+            for t in tallies
+        ]
+        return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
 
     @property
     def rates(self) -> Optional[RateTriple]:
@@ -335,31 +349,26 @@ def simulate_arm(
         if row_kind is kind:
             break
     else:
-        raise KeyError(kind)
+        raise ValueError("kind must be an ArmKind or None")
     p_acc, q_acc = _arm_rates(model)[index]
     return _run_arm(_arm_rng(seed, index), p_acc, q_acc, n_per_arm, name)
 
 
-def _tally(
-    model: ModelParams, kind: Optional[ArmKind], n_per_arm: int, seed: int
-) -> Optional[ArmTally]:
-    """``simulate_arm``'s tally, or None if the arm starved."""
-    try:
-        return simulate_arm(model, kind, n_per_arm, seed)
-    except ArmStarvation:
-        return None
-
-
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
-    # Each arm goes through the module-level simulate_arm (in _tally), looked
-    # up at call time, though the run has checked its arguments already:
-    # bench/tracing.py counts one stream.simulate_arm span per arm, and the
-    # stream.arm_us metric divides by that count, so a run that routes around
-    # the call kills the traced benchmark with ZeroDivisionError.  Keep the
-    # call until the tracer hooks the arms elsewhere.
+    # Each arm goes through the module-level simulate_arm, looked up at call
+    # time, though the run has checked its arguments already: bench/tracing.py
+    # counts one stream.simulate_arm span per arm, and the stream.arm_us
+    # metric divides by that count, so a run that routes around the call
+    # kills the traced benchmark with ZeroDivisionError.  Keep the call until
+    # the tracer hooks the arms elsewhere.
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
     n_per_arm, seed = config.n_per_arm, config.seed
-    arms = {kind: _tally(model, kind, n_per_arm, seed) for kind, _, _ in _ARMS}
+    arms = {}
+    for kind, _, _ in _ARMS:
+        try:
+            arms[kind] = simulate_arm(model, kind, n_per_arm, seed)
+        except ArmStarvation:
+            arms[kind] = None
     baseline = arms.pop(None)
     return SimResult(config, arms, baseline)
 

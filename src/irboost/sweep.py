@@ -38,16 +38,13 @@ from .probcore import (
     EstimateWithError,
     ModelParams,
     accardi_from_counts,
-    accardi_of_rates,
-    boost_of_rates,
     field_names,
     fields_dict,
     with_error,
 )
 from .quantum import QuantumParams
 from .stream import (
-    _ACCARDI_ARMS, ArmKind, ArmTally, _check_int, check_n_per_arm, check_seed,
-    simulate_classical, simulate_quantum,
+    _check_int, check_n_per_arm, check_seed, simulate_classical, simulate_quantum
 )
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
@@ -185,19 +182,13 @@ def _analytic_points(
     return [ScatterPoint(model, *row) for row in zip(params, *columns)]
 
 
-def _rate(tally: Optional[ArmTally]) -> float:
-    """An arm's success rate, as ``estimate_rate`` reads it; NaN if it starved."""
-    return math.nan if tally is None else tally.counts.n_success / tally.counts.n_total
-
-
 def _montecarlo_point(
     params: ModelParams, n_per_arm: int, seed: int, m: float
 ) -> ScatterPoint:
-    """One Monte Carlo point: ``a`` and ``delta`` equal the run's
-    ``accardi_est.estimate`` and ``boost_est.estimate`` bit for bit, read
-    from the tallies through the same float rules without building the
-    estimates; NaN with a false flag where the margin, a starved arm or
-    the rule leaves a quantity undefined."""
+    """One Monte Carlo point: ``a`` and ``delta`` are the run's
+    ``accardi_est.estimate`` and ``boost_est.estimate`` where the point's
+    flags allow them; NaN with a false flag where the margin, a starved arm
+    or the rule leaves a quantity undefined."""
     accardi_ok, boost_ok = params.flags(m)
     a = delta = math.nan
     if accardi_ok or boost_ok:
@@ -206,13 +197,9 @@ def _montecarlo_point(
             result = simulate_classical(params, n_per_arm, seed)
         else:
             result = simulate_quantum(params, n_per_arm, seed)
-        arms = result.arms
-        if accardi_ok:
-            a = accardi_of_rates(*[_rate(arms[kind]) for kind in _ACCARDI_ARMS])
-        if boost_ok:
-            delta = boost_of_rates(
-                _rate(arms[ArmKind.EXPAND_THEN_RELEVANCE]), _rate(result.baseline)
-            )
+        run_a, run_delta = result._estimate_values()
+        a = run_a if accardi_ok else math.nan
+        delta = run_delta if boost_ok else math.nan
     return ScatterPoint(
         params.name, params, a, delta, not math.isnan(a), not math.isnan(delta)
     )
@@ -300,8 +287,9 @@ def eval_point(
 def parse_count_file(path) -> "tuple[int, int, int, int, int]":
     """Read the five counts N N_R N_XR N_XN N_X from a plain-text file.
 
-    Whitespace-separated (newlines allowed), '#' comment lines ignored.
-    Raises MalformedInput on parse or consistency failure.
+    Whitespace-separated (newlines allowed), '#' comment lines ignored; each
+    count is ASCII digits only.  Raises MalformedInput on parse or
+    consistency failure.
     """
     tokens: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -314,12 +302,13 @@ def parse_count_file(path) -> "tuple[int, int, int, int, int]":
         raise MalformedInput(
             f"expected 5 counts (N N_R N_XR N_XN N_X), got {len(tokens)} tokens"
         )
+    for t in tokens:  # int() would also take a sign, "_" and non-ASCII digits
+        if not (t.isascii() and t.isdigit()):
+            raise MalformedInput(f"counts must be nonnegative, in ASCII digits: {t!r}")
     try:
         n, n_r, n_xr, n_xn, n_x = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise MalformedInput(f"non-integer count in {path}: {exc}") from None
-    if min(n, n_r, n_xr, n_xn, n_x) < 0:
-        raise MalformedInput("counts must be nonnegative")
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedInput(f"count too long in {path}: {exc}") from None
     if n == 0:
         raise MalformedInput("N must be positive")
     if n_r > n:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -136,7 +137,8 @@ class TestEstimateCommand:
         path = tmp_path / "bad.txt"
         inconsistent = "1000 500 600 100 500\n"
         beyond_float = " ".join(str(k * 10**400) for k in (4, 2, 1, 1, 2)) + "\n"
-        for text in (inconsistent, beyond_float):
+        underscore = "1_00 40 30 12 42\n"  # int() would read 100
+        for text in (inconsistent, beyond_float, underscore):
             path.write_text(text)
             proc = run_cli("estimate", str(path), check=False)
             assert proc.returncode == 2
@@ -168,6 +170,43 @@ class TestEstimateCommand:
             main(["estimate", str(DATA / "counts.txt"), "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+class TestClosedOutputPipe:
+    # stdout into a pipe whose reader is gone: exit 3 with one i/o error
+    # line, whether stdout is buffered or not, and whether the output fits
+    # the write buffer (the failure comes at the flush) or goes out in one
+    # write far larger than the pipe (an unbuffered short write drops the
+    # rest of it unseen)
+    BIG = ["sweep", "--model", "classical", "--n-points", "20000"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, n_read",
+        [
+            (["classical", "0.5", "0.8", "0.2"], 0),
+            (["sweep", "--model", "quantum", "--n-points", "3", "--format", "json"], 0),
+            (BIG + ["--format", "json"], 100),
+            (BIG, 100),
+        ],
+        ids=["point", "small-json", "big-json", "big-csv"],
+    )
+    def test_exits_3(self, argv, n_read, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "irboost", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.read(n_read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3, err
+        assert err.startswith("irboost: i/o error:") and err.count("\n") == 1, err
 
 
 class TestGnuplotCommand:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
 
+import irboost.stream
 from irboost import (
     ArmKind,
     ArmStarvation,
@@ -28,11 +29,13 @@ from irboost import (
     simulate_arm,
     simulate_classical,
     simulate_quantum,
+    sweep,
     total_probability,
 )
 from irboost.cli import main as cli_main
 from irboost.quantum import quantum_rates
 from irboost.stream import (
+    _ARMS,
     _MAX_N_PER_ARM,
     BASELINE_NAME,
     _arm_rates,
@@ -446,6 +449,12 @@ class TestArmKeying:
                 want = runs[seed].baseline if kind is None else runs[seed].arms[kind]
                 assert simulate_arm(params, kind, 200, seed) == want
 
+    @pytest.mark.parametrize("kind", ["direct_term", 0])
+    def test_bad_kind_rejected(self, kind):
+        # a kind's value or index names no arm
+        with pytest.raises(ValueError, match="kind must be an ArmKind or None"):
+            simulate_arm(QuantumParams(1.0, 0.5), kind, 10, 0)
+
     def test_five_distinct_substreams(self):
         seed = 12345
         states = [_arm_rng(seed, i).bit_generator.state["state"] for i in range(5)]
@@ -531,3 +540,58 @@ class TestArmKeying:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+class TestArmCalls:
+    # each run calls the module-level stream.simulate_arm once per arm, in
+    # substream order, with n_per_arm third: the benchmark's tracer counts
+    # those calls, and its stream.arm_us divides by the count
+    KINDS = [kind for kind, _, _ in _ARMS]
+
+    @staticmethod
+    def _recorded(monkeypatch, run):
+        """``run()``'s result with simulate_arm recorded, checked against
+        the unrecorded result, and the arguments of each call."""
+        want = run()
+        calls = []
+        original = irboost.stream.simulate_arm
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(irboost.stream, "simulate_arm", recorder)
+        got = run()
+        monkeypatch.undo()
+        assert got == want
+        return got, calls
+
+    def _assert_runs(self, calls, n_per_arm, n_runs):
+        assert len(calls) == 5 * n_runs
+        for i, (args, kwargs) in enumerate(calls):
+            assert kwargs == {} and len(args) == 4
+            assert args[1] is self.KINDS[i % 5] and args[2] == n_per_arm
+            assert args[3] == calls[i - i % 5][0][3]  # the run's one seed
+
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_sweep_point_runs(self, model, monkeypatch):
+        config = SweepConfig(model=model, mode="montecarlo", n_points=3, n_per_arm=40, seed=5)
+        (points, _), calls = self._recorded(monkeypatch, lambda: sweep(config))
+        margin = config.exclusion_margin
+        n_runs = sum(any(pt.params.flags(margin)) for pt in points)
+        assert n_runs == 3
+        self._assert_runs(calls, 40, n_runs)
+
+    def test_run_with_a_starved_arm(self, monkeypatch):
+        params = QuantumParams(math.pi - 2e-4, 1.0)
+        res, calls = self._recorded(monkeypatch, lambda: simulate_quantum(params, 3, 11))
+        assert None in [*res.arms.values(), res.baseline]
+        self._assert_runs(calls, 3, 1)
+
+    def test_point_flagged_on_both_counts_makes_no_calls(self, monkeypatch):
+        params = QuantumParams(math.pi, math.pi / 2)
+        pt, calls = self._recorded(
+            monkeypatch, lambda: eval_point(params, "montecarlo", 40, 5)
+        )
+        assert not (pt.accardi_defined or pt.boost_defined)
+        assert calls == []

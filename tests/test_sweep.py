@@ -315,7 +315,7 @@ class TestEvalPointRules:
 class TestEstimateFromFile:
     def write(self, tmp_path, text):
         path = tmp_path / "counts.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")  # the encoding the reader takes
         return path
 
     def test_hand_computed(self, tmp_path):
@@ -341,10 +341,16 @@ class TestEstimateFromFile:
             ("1000 500 600 100 500", "N_XR=600 exceeds N_R=500"),
             ("1000 500 400 501 500", "N_XN=501 exceeds N - N_R=500"),
             ("1000 500 400 100 1001", "N_X=1001 exceeds N=1000"),
+            # int() takes these spellings, but a count is ASCII digits only
+            ("1_00 40 30 12 42", "in ASCII digits: '1_00'"),
+            ("+100 40 30 12 42", "in ASCII digits: '+100'"),
+            ("\u0661\u0660\u0660 40 30 12 42", "in ASCII digits: '\u0661\u0660\u0660'"),
+            ("100 40 30 12 \uff14\uff12", "in ASCII digits: '\uff14\uff12'"),
         ],
         ids=[
             "negative", "n-zero", "n_r-exceeds-n", "n_xr-exceeds-n_r", "n_xn-exceeds-rest",
-            "n_x-exceeds-n",
+            "n_x-exceeds-n", "underscore", "plus-sign", "arabic-indic-digits",
+            "fullwidth-digits",
         ],
     )
     def test_inconsistent_counts(self, counts, message, tmp_path):
