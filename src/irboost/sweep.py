@@ -287,17 +287,29 @@ def eval_point(
 def parse_count_file(path) -> "tuple[int, int, int, int, int]":
     """Read the five counts N N_R N_XR N_XN N_X from a plain-text file.
 
-    Whitespace-separated (newlines allowed), '#' comment lines ignored; each
-    count is ASCII digits only.  Raises MalformedInput on parse or
-    consistency failure.
+    The file is read whole and decoded as strict UTF-8.  A line ends at
+    "\\n", "\\r\\n" or "\\r"; a line whose first non-blank character is '#'
+    is a comment, but a '#' after a count is a malformed token.  The counts
+    are whitespace-separated, on one line or several, and each is ASCII
+    digits only.  Raises MalformedInput on decoding, parse or consistency
+    failure.
     """
+    # one unbuffered read: a count file is a few lines, and the text-I/O
+    # stack cost more than the parse
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(str(exc)) from None
     tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens.extend(stripped.split())
+    # the line ends of universal newlines; str.splitlines() would also break
+    # at "\x0c", "\x85" and the like, and so end a comment early
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens.extend(stripped.split())
     if len(tokens) != 5:
         raise MalformedInput(
             f"expected 5 counts (N N_R N_XR N_XN N_X), got {len(tokens)} tokens"

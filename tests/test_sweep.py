@@ -1,8 +1,10 @@
 import importlib
 import io
 import math
+import os
 import re
 import sys
+import tempfile
 import tracemalloc
 import types
 
@@ -29,6 +31,7 @@ from irboost.sweep import (
     CSV_HEADER,
     DEFAULT_EXCLUSION_MARGIN,
     ScatterPoint,
+    parse_count_file,
     points_to_json_dict,
     write_csv,
     write_gnuplot,
@@ -312,6 +315,83 @@ class TestEvalPointRules:
             eval_point(params, mode=mode, n_per_arm=50, exclusion_margin=margin)
 
 
+def _text_mode_parse(path):
+    """The count-file reader as it was in text mode: the reference for
+    ``parse_count_file``, with a decoding error raised as MalformedInput."""
+    tokens = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                tokens.extend(stripped.split())
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(str(exc)) from None
+    if len(tokens) != 5:
+        raise MalformedInput(
+            f"expected 5 counts (N N_R N_XR N_XN N_X), got {len(tokens)} tokens"
+        )
+    for t in tokens:
+        if not (t.isascii() and t.isdigit()):
+            raise MalformedInput(f"counts must be nonnegative, in ASCII digits: {t!r}")
+    try:
+        n, n_r, n_xr, n_xn, n_x = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise MalformedInput(f"count too long in {path}: {exc}") from None
+    if n == 0:
+        raise MalformedInput("N must be positive")
+    if n_r > n:
+        raise MalformedInput(f"N_R={n_r} exceeds N={n}")
+    if n_xr > n_r:
+        raise MalformedInput(f"N_XR={n_xr} exceeds N_R={n_r}")
+    if n_xn > n - n_r:
+        raise MalformedInput(f"N_XN={n_xn} exceeds N - N_R={n - n_r}")
+    if n_x > n:
+        raise MalformedInput(f"N_X={n_x} exceeds N={n}")
+    if n_r == 0 or n_r == n:
+        raise MalformedInput(
+            "both relevance classes must be populated to form conditional rates"
+        )
+    if n > sys.float_info.max:
+        raise MalformedInput("N is beyond float range")
+    return n, n_r, n_xr, n_xn, n_x
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except MalformedInput as exc:
+        return str(exc)
+
+
+# count files built from digit tokens, comments, the three line ends, the
+# characters str.splitlines() would also break at, and raw bytes: free-form,
+# or the five counts of a valid file with blanks and comment lines between
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_BLANKS = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+_COMMENTS = st.text(max_size=6).map(lambda s: "#" + s)
+_PIECES = st.one_of(
+    _LINE_ENDS,
+    _BLANKS,
+    _COMMENTS,
+    st.sampled_from(["0", "7", "100", "400", "500", "1000", "1" + "0" * 4300]),
+    st.from_regex(r"\A[0-9]{1,6}\Z"),
+).map(str.encode) | st.binary(max_size=3)
+_SEPARATORS = st.lists(
+    _LINE_ENDS | _BLANKS | st.tuples(_LINE_ENDS, _COMMENTS, _LINE_ENDS).map("".join),
+    min_size=1,
+    max_size=3,
+).map("".join)
+_VALID_COUNTS = ("1000", "500", "400", "100", "500", "")  # "": the last separator ends the file
+_COUNT_FILES = st.one_of(
+    st.lists(_PIECES, max_size=40).map(b"".join),
+    st.lists(_SEPARATORS, min_size=6, max_size=6).map(
+        lambda seps: "".join(s + c for s, c in zip(seps, _VALID_COUNTS)).encode()
+    ),
+).filter(lambda data: len(data) < 8192)  # text mode decodes in 8 KiB chunks
+
+
 class TestEstimateFromFile:
     def write(self, tmp_path, text):
         path = tmp_path / "counts.txt"
@@ -404,10 +484,53 @@ class TestEstimateFromFile:
             assert pt.accardi_defined == want.accardi_defined, text
             assert pt.boost_defined == want.boost_defined, text
 
-    def test_multiline_with_comments(self, tmp_path):
-        path = self.write(tmp_path, "# header\n1000 500\n# middle\n400 100 500\n")
-        outcome = estimate_from_file(path)
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"\xff100 40 30 12 42\n")
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            estimate_from_file(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# header\n1000 500\n# middle\n400 100 500\n",
+            "# header\r\n1000 500\r\n# middle\r\n400 100 500\r\n",
+            "# header\r1000 500\r# middle\r400 100 500\r",
+            # a form feed is whitespace, not a line end: the comment runs on
+            "# header\x0c 7 7\n1000 500\n# middle\x0c 1 2\n400 100 500\n",
+        ],
+        ids=["lf", "crlf", "cr", "form-feed-in-comment"],
+    )
+    def test_multiline_with_comments(self, text, tmp_path):
+        outcome = estimate_from_file(self.write(tmp_path, text))
         assert outcome.point.a == pytest.approx(0.5, abs=1e-12)
+        assert outcome == estimate_from_file(self.write(tmp_path, "1000 500 400 100 500"))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=_COUNT_FILES)
+    @example(data=b"1000 500 400 100 500 \xe2\x82")
+    @example(data=b"1000\r500\r\n# 1 2\r400 100 500")
+    @example(data="# c\x0c 1 2\x85 3\u2028\n1000 500 400\x1c100\x0b500".encode())
+    @example(data=b"1000 500 400 100 500 # note\n")
+    def test_reads_as_text_mode_did(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            got, want = _outcome(parse_count_file, path), _outcome(_text_mode_parse, path)
+        if got != want:
+            # text mode decodes with an incremental decoder, which reports a
+            # sequence cut short by the end of the file at its offset among
+            # the bytes it held back; a whole-file decode gives the offset
+            # in the file
+            with pytest.raises(UnicodeDecodeError) as info:
+                data.decode("utf-8")
+            exc = info.value
+            assert (exc.reason, exc.end) == ("unexpected end of data", len(data))
+            tail = data[exc.start:]
+            assert got == str(exc)
+            assert want == str(UnicodeDecodeError("utf-8", tail, 0, len(tail), exc.reason))
 
 
 class TestCsv:
