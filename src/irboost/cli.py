@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import MalformedInput
-from .probcore import field_names, fields_dict
+from .probcore import fields_dict
 from .stream import simulate_classical, simulate_quantum
 from .sweep import (
     DEFAULT_EXCLUSION_MARGIN,
@@ -223,7 +223,7 @@ def _parse_params(model: str, text: str):
     except ValueError as exc:
         raise MalformedInput(f"bad --params value: {exc}") from None
     cls = MODELS[model]
-    names = field_names(cls)
+    names = cls.__match_args__
     if len(values) != len(names):
         raise MalformedInput(f"{cls.name} model needs {','.join(names)}")
     return cls(*values)
@@ -232,7 +232,7 @@ def _parse_params(model: str, text: str):
 def _run(args) -> None:
     if args.command in MODELS:
         cls = MODELS[args.command]
-        params = cls(*(getattr(args, k) for k in field_names(cls)))
+        params = cls(*(getattr(args, k) for k in cls.__match_args__))
         point = eval_point(
             params, mode=args.mode, n_per_arm=args.n_per_arm, seed=args.seed
         )

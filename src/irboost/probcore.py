@@ -19,8 +19,6 @@ all compute it through that rule.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -92,12 +90,6 @@ class EstimateWithError:
             raise ValueError("std_error must be nonnegative")
 
 
-@functools.cache
-def field_names(cls) -> "tuple[str, ...]":
-    """A dataclass's field names in declaration order (the JSON key order)."""
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 class ModelParams:
     """Base of a model's parameter class, a frozen dataclass of floats.  The
     subclass states its model's rules once: ``name``; its box [0, ``bound``],
@@ -115,14 +107,15 @@ class ModelParams:
 
 
 def fields_dict(value) -> Optional[dict]:
-    """A dataclass instance's fields as a new dict; None stays None.
+    """A dataclass instance's fields, as its ``__match_args__`` names them,
+    in a new dict; None stays None.
 
     Read by name rather than through vars(): on CPython 3.11+ that attaches
     a 64-byte dict to every instance it touches, one per sweep point.
     """
     if value is None:
         return None
-    return {k: getattr(value, k) for k in field_names(type(value))}
+    return {k: getattr(value, k) for k in value.__match_args__}
 
 
 def accardi_of_rates(p_x_given_r: float, p_x_given_n: float, p_x: float) -> float:

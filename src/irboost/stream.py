@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import json
 import math
 import operator
@@ -228,37 +227,9 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-def _last_call(func):
-    """Memo of ``func``'s last argument and result, for the five arms of a run.
-
-    Not ``functools.lru_cache(maxsize=1)``: its dict gets a new key table
-    every few misses, so whether one run allocates that table depended on
-    how many runs came before it.  A miss here always allocates one pair.
-    The pair is swapped whole, so threads never see a stale result.
-    """
-    last = (object(), None)  # a key no argument equals
-
-    @functools.wraps(func)
-    def wrapper(arg):
-        nonlocal last
-        key, value = last
-        if key is arg or key == arg:
-            return value
-        value = func(arg)
-        last = (arg, value)
-        return value
-
-    return wrapper
-
-
-@_last_call
 def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
     """(p_acc, q_acc) of every arm, indexed by substream index: the chance
-    that a raw draw is accepted and that an accepted document is a success.
-
-    Cached for the last model: every arm of a run goes through
-    ``simulate_arm``, and the five share one computation of the rates.
-    """
+    that a raw draw is accepted and that an accepted document is a success."""
     p_r, p_x_r, p_x_n, p_x, p_r_x = model.stream_rates()
     return ((p_r, p_x_r), (1.0 - p_r, p_x_n), (1.0, p_x), (p_x, p_r_x), (1.0, p_r))
 
@@ -289,11 +260,9 @@ _HASH_XOR, _HASH_MUL = _HASH_C[:-1], _HASH_C[1:]
 _POOL_INDEX = np.arange(_N_HASH_WORDS) % 4
 
 
-@_last_call
 def _run_words(seed: int) -> np.ndarray:
     """The run's one seed hash, ``SeedSequence(seed).generate_state(24,
     np.uint64)``, four words per substream after a skipped first block.
-    Cached for the last seed: the five arms of a run share it.
 
     uint32 word i is ``x = pool[i % 4] ^ c_i; x *= c_(i+1); x ^= x >> 16``
     (mod 2**32), as in ``generate_state``, but for all words in one pass.
@@ -309,9 +278,28 @@ def _run_words(seed: int) -> np.ndarray:
     return words
 
 
-def _arm_rng(seed: int, index: int) -> np.random.Generator:
+# The last run's (model, seed, rates, words): every arm of a run goes
+# through simulate_arm, and the five share one computation of the rates and
+# of the seed hash.  The tuple is swapped whole, so threads never see a
+# stale pair.  A miss always allocates one tuple; an lru_cache(maxsize=1)'s
+# dict gets a new key table every few misses, so whether a run allocated
+# one would depend on how many runs came before it.
+_last_run = (None, None, None, None)
+
+
+def _run_state(model: ModelParams, seed: int):
+    """(``_arm_rates(model)``, ``_run_words(seed)``), kept for the last run."""
+    global _last_run
+    last_model, last_seed, rates, words = _last_run
+    if seed != last_seed or (model is not last_model and model != last_model):
+        rates, words = _arm_rates(model), _run_words(seed)
+        _last_run = (model, seed, rates, words)
+    return rates, words
+
+
+def _arm_rng(words: np.ndarray, index: int) -> np.random.Generator:
     start = 4 * (index + 1)
-    return np.random.Generator(PCG64(_Words(_run_words(seed)[start : start + 4])))
+    return np.random.Generator(PCG64(_Words(words[start : start + 4])))
 
 
 def _run_arm(
@@ -350,8 +338,9 @@ def simulate_arm(
             break
     else:
         raise ValueError("kind must be an ArmKind or None")
-    p_acc, q_acc = _arm_rates(model)[index]
-    return _run_arm(_arm_rng(seed, index), p_acc, q_acc, n_per_arm, name)
+    rates, words = _run_state(model, seed)
+    p_acc, q_acc = rates[index]
+    return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)
 
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:

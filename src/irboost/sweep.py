@@ -38,7 +38,6 @@ from .probcore import (
     EstimateWithError,
     ModelParams,
     accardi_from_counts,
-    field_names,
     fields_dict,
     with_error,
 )
@@ -137,7 +136,7 @@ def sample_params(config: SweepConfig) -> np.ndarray:
     """Uniform parameter matrix in the model's box, one row per point."""
     cls = MODELS[config.model]
     rng = np.random.default_rng(config.seed)
-    return rng.random((config.n_points, len(field_names(cls)))) * cls.bound
+    return rng.random((config.n_points, len(cls.__match_args__))) * cls.bound
 
 
 def _margin(margin: float) -> float:
@@ -397,7 +396,7 @@ def _fmt(x: float) -> str:
 
 
 def _point_row(pt: ScatterPoint) -> str:
-    params = [_fmt(getattr(pt.params, k)) for k in field_names(type(pt.params))]
+    params = [_fmt(getattr(pt.params, k)) for k in pt.params.__match_args__]
     params += _EMPTY_PARAMS[len(params) :]
     return (
         f"{pt.model},{','.join(params)},{_fmt(pt.a)},{_fmt(pt.delta)},"
@@ -424,7 +423,7 @@ def _fields(line: str) -> list[str]:
 
 
 _CSV_MODELS = {  # model column -> (parameter class, number of fields)
-    name: (cls, len(field_names(cls)))
+    name: (cls, len(cls.__match_args__))
     for name, cls in {**MODELS, "empirical": ClassicalParams}.items()  # estimate rows
 }
 _TEXT_FLAG = {text: flag for flag, text in _FLAG_TEXT.items()}
@@ -433,17 +432,28 @@ _TEXT_FLAG = {text: flag for flag, text in _FLAG_TEXT.items()}
 _WRITTEN = re.compile(r"[\x21-\x5e\x60-\x7e]*\n?")
 
 
+def _decoded_lines(fh):
+    """A binary file's lines as strict UTF-8; MalformedInput names the line
+    that is not, with the error's offsets within that line."""
+    for n, line in enumerate(fh, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"line {n}: {exc}") from None
+
+
 def read_csv(path) -> list[ScatterPoint]:
     """Parse a file written by ``export_csv``, exact value round-trip; a row
     it never writes, such as one with a quoted field, a "\\r\\n" end or a
     space in a number, is MalformedInput."""
     points = []
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+    with open(path, "rb") as fh:  # its lines end only at b"\n", as written
+        lines = _decoded_lines(fh)
         try:
-            header = next(map(_fields, fh), None)
+            header = next(map(_fields, lines), None)
             if header != CSV_HEADER:
                 raise MalformedInput(f"unexpected CSV header: {header!r}")
-            for line in fh:
+            for line in lines:
                 row = _fields(line)
                 if len(row) != len(CSV_HEADER) or not _WRITTEN.fullmatch(line):
                     raise MalformedInput(f"bad CSV row: {row!r}")
@@ -461,7 +471,7 @@ def read_csv(path) -> list[ScatterPoint]:
                 points.append(ScatterPoint(model, cls(*(p1, p2, p3)[:n]), *values, *flags))
         except MalformedInput:
             raise
-        except ValueError as exc:  # from float(), a parameter class or UTF-8 decoding
+        except ValueError as exc:  # from float() or a parameter class
             raise MalformedInput(str(exc)) from None
     return points
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +10,9 @@ from irboost import (
     ArmCounts,
     BoostUndefined,
     EmptyArm,
+    EstimateWithError,
     Probability,
+    QuantumParams,
     RateTriple,
     accardi,
     ClassicalParams,
@@ -18,6 +21,7 @@ from irboost import (
     boost_classical,
     estimate_rate,
     posterior_bayes,
+    SweepSummary,
     total_probability,
 )
 from irboost.probcore import EPS_DENOM, accardi_of_rates, boost_of_rates, with_error
@@ -229,3 +233,14 @@ class TestAccardiFromCounts:
             ArmCounts(10_000, 8_000), ArmCounts(10_000, 2_000), ArmCounts(10_000, 5_000)
         )
         assert large.std_error < small.std_error
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ClassicalParams, QuantumParams, SweepSummary, EstimateWithError, RateTriple, ArmCounts],
+)
+def test_match_args_are_the_fields(cls):
+    # fields_dict, the CSV writer and reader and the CLI read a class's
+    # fields from __match_args__, which leaves out kw_only and init=False
+    # fields; such a field would drop out of the CSV and JSON output unnoticed
+    assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls))

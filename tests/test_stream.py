@@ -40,6 +40,7 @@ from irboost.stream import (
     BASELINE_NAME,
     _arm_rates,
     _arm_rng,
+    _run_state,
     _run_words,
 )
 
@@ -457,9 +458,10 @@ class TestArmKeying:
 
     def test_five_distinct_substreams(self):
         seed = 12345
-        states = [_arm_rng(seed, i).bit_generator.state["state"] for i in range(5)]
+        words = _run_words(seed)
+        states = [_arm_rng(words, i).bit_generator.state["state"] for i in range(5)]
         assert len({(s["state"], s["inc"]) for s in states}) == 5
-        firsts = {_arm_rng(seed, i).integers(2**63) for i in range(5)}
+        firsts = {_arm_rng(words, i).integers(2**63) for i in range(5)}
         assert len(firsts) == 5
         # no arm starts where a plain default_rng(seed) does
         plain = np.random.default_rng(seed).bit_generator.state["state"]
@@ -502,28 +504,32 @@ class TestArmKeying:
         words = np.random.SeedSequence(seed).generate_state(24, np.uint64)
         for i in range(5):
             want = PCG64(Given(words[4 * (i + 1) : 4 * (i + 1) + 4])).state
-            assert _arm_rng(seed, i).bit_generator.state == want
+            assert _arm_rng(_run_words(seed), i).bit_generator.state == want
 
     @pytest.mark.parametrize(
-        "memo, args",
+        "models, seeds",
         [
-            (_run_words, [10**6 + i for i in range(12)]),
-            (_arm_rates, [ClassicalParams(0.3 + 0.01 * i, 0.7, 0.3) for i in range(12)]),
+            # seed misses with a fixed model: a new seed hash each time
+            ([ClassicalParams(0.4, 0.7, 0.3)] * 12, [10**6 + i for i in range(12)]),
+            # model misses with a fixed seed: new arm rates each time
+            ([ClassicalParams(0.3 + 0.01 * i, 0.7, 0.3) for i in range(12)], [7] * 12),
         ],
         ids=["run_words", "arm_rates"],
     )
-    def test_memo_miss_keeps_the_same_every_time(self, memo, args):
+    def test_memo_miss_keeps_the_same_every_time(self, models, seeds):
         # a run's memory peak must not depend on how many runs came before
         # it; an lru_cache keeps a new key table every fifth miss
-        memo(args[0])
+        _run_state(models[0], seeds[0])
         kept = []
-        for arg in args[1:]:
+        for model, seed in zip(models[1:], seeds[1:]):
             tracemalloc.start()
             try:
-                memo(arg)
+                rates, words = _run_state(model, seed)
                 kept.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
+            assert rates == _arm_rates(model)
+            assert np.array_equal(words, _run_words(seed))
         assert len(set(kept[1:])) == 1, kept
 
     def test_threads_match_sequential(self):
@@ -540,6 +546,30 @@ class TestArmKeying:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+    def test_threads_alternating_models_match_sequential(self):
+        # a classical and a quantum run on the same seed, on two threads:
+        # the kept run state must be keyed by the model as well as the seed.
+        # The reference runs each model's seeds in turn, so no two runs in a
+        # row share a seed
+        models = [
+            (simulate_classical, ClassicalParams(0.4, 0.7, 0.3)),
+            (simulate_quantum, QuantumParams(1.1, 0.6)),
+        ]
+        jobs = [(run, params, seed) for seed in range(200) for run, params in models]
+        want = {
+            (run, params, seed): run(params, 300, seed)
+            for run, params in models
+            for seed in range(200)
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda job: job[0](job[1], 300, job[2]), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[job] for job in jobs]
 
 
 class TestArmCalls:

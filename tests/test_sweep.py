@@ -587,6 +587,27 @@ class TestCsv:
         with pytest.raises(MalformedInput, match=message):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "n_rows, tail, message",
+        [
+            # past the first 8 KiB, where a text-mode reader's decoder chunk
+            # no longer starts at the file's start
+            (200, b"classical,0.5\xff,0.5,,,false,false\n",
+             "line 202: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+            (1, b"classical,0.5\xe2\x82",
+             "line 3: 'utf-8' codec can't decode bytes in position 13-14: unexpected end of data"),
+        ],
+        ids=["byte-past-8k", "cut-at-eof"],
+    )
+    def test_read_csv_not_utf8_names_the_line(self, n_rows, tail, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        export_csv([eval_point(ClassicalParams(0.5, 0.8, 0.2))] * n_rows, path)
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        with pytest.raises(MalformedInput) as info:
+            read_csv(path)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_writers_attach_nothing_to_points(self, model):
         # the writers read each field by name; reading vars() instead would
