@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import AccardiUndefined, BoostUndefined
-from .probcore import EPS_DENOM, ModelParams, Probability, total_probability
+from .probcore import (
+    EPS_DENOM, ModelParams, Probability, _mixture, total_probability
+)
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class ClassicalParams(ModelParams):
 
     def stream_rates(self):
         p_r, p_x_r, p_x_n = self.p, self.q_r, self.q_n
-        p_x = marginal_term_rate(self)
+        # the fields are checked floats, so not through total_probability,
+        # which checks them again
+        p_x = _mixture(p_x_r, p_x_n, p_r)
         # rounding can push this rate alone past 1.  Not posterior_bayes: it
         # raises where P(X) <= EPS_DENOM, and a starving expansion arm needs a rate
         p_r_x = min(1.0, p_r * p_x_r / p_x) if p_x > 0.0 else 0.0

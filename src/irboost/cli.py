@@ -31,6 +31,7 @@ from .sweep import (
     MODELS,
     MODES,
     SweepConfig,
+    _rewrite,
     estimate_from_file,
     eval_point,
     points_to_json_dict,
@@ -184,10 +185,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 @contextlib.contextmanager
 def _output(args):
-    """sys.stdout, or the --out file; open it only once the result exists,
-    so a failing command leaves an existing file as it was."""
+    """sys.stdout, or the --out file rewritten in place; open it only once
+    the result exists, so a failing command leaves an existing file as it was."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _rewrite(args.out) as fh:
             yield fh
     else:
         try:

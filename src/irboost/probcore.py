@@ -172,9 +172,14 @@ def total_probability(
     qr = Probability(p_x_given_r)
     qn = Probability(p_x_given_n)
     p = Probability(p_r)
-    v = qr * p + qn * (1.0 - p)
+    return Probability(_mixture(qr, qn, p))
+
+
+def _mixture(q_r: float, q_n: float, p: float) -> float:
+    """``total_probability`` of three floats already in [0, 1], unchecked."""
+    v = q_r * p + q_n * (1.0 - p)
     # rounding can overshoot the closed interval by an ulp
-    return Probability(min(1.0, max(0.0, v)))
+    return min(1.0, max(0.0, v))
 
 
 def with_error(estimate: float, n: int, *terms: float) -> EstimateWithError:

@@ -20,8 +20,11 @@ of evaluation order.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -411,9 +414,35 @@ def write_csv(points: Iterable[ScatterPoint], stream) -> None:
 
 def export_csv(points: Iterable[ScatterPoint], path) -> None:
     """Write scatter points as CSV (header mandatory, 17-digit floats, plain
-    lines with no quoting, each ended by "\\n")."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    lines with no quoting, each ended by "\\n"), over ``path`` in place as
+    ``_rewrite`` writes it."""
+    with _rewrite(path) as fh:
         write_csv(points, fh)
+
+
+def _open_in_place(path, flags):
+    # open()'s flags for "w" less O_TRUNC: ext4 starts writeback when a file
+    # truncated to zero and written again is closed (its auto_da_alloc
+    # heuristic), and nothing here needs the file on disk before its time
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _rewrite(path):
+    """``path`` as a UTF-8 text file with no newline translation, written
+    from byte 0 over what it held.  On exit, also when the writing failed, a
+    regular file is cut where the writing stopped; a FIFO, the null device
+    or a terminal is left as it is."""
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _fields(line: str) -> list[str]:

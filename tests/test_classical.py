@@ -146,3 +146,18 @@ class TestAccardiClassical:
 def test_marginal_term_rate_matches_mixture():
     params = ClassicalParams(0.25, 0.9, 0.1)
     assert marginal_term_rate(params) == total_probability(0.9, 0.1, 0.25)
+
+
+def test_stream_rates_p_x_is_marginal_term_rate():
+    # stream_rates skips total_probability's checks; its P(X) must still be
+    # that mixture bit for bit, on random points and at the clamp's edges
+    # (q_r = q_n = 1 or 0, where the mixture sits on an end of [0, 1])
+    rng = np.random.default_rng(20)
+    triples = rng.random((2000, 3)).tolist()
+    triples += [(p, 1.0, 1.0) for p in [0.0, 1.0, *rng.random(200).tolist()]]
+    triples += [(p, 0.0, 0.0) for p in (0.0, 1.0)]
+    for p, q_r, q_n in triples:
+        params = ClassicalParams(p, q_r, q_n)
+        p_x = params.stream_rates()[3]
+        assert type(p_x) is float
+        assert p_x.hex() == float.hex(marginal_term_rate(params))

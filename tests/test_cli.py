@@ -295,6 +295,47 @@ class TestPinnedOutput:
         assert out.read_bytes() == b"previous\n"
 
 
+class TestOutFileRewrite:
+    """--out rewrites a file from byte 0 and cuts it where the writing
+    stopped, instead of truncating it to zero when it opens."""
+
+    POINT = ["classical", "0.5", "0.8", "0.2"]
+
+    def test_shorter_output_leaves_no_old_tail(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        sweep_50 = ["sweep", "--model", "classical", "--n-points", "50"]
+        assert main([*sweep_50, "--out", str(out)]) == 0
+        assert main([*self.POINT, "--out", str(out)]) == 0
+        assert main(self.POINT) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "new.csv"
+        old = os.umask(0o022)
+        try:
+            assert main([*self.POINT, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_null_device(self):
+        assert main([*self.POINT, "--out", "/dev/null"]) == 0
+
+    def test_failed_write_is_cut_where_it_stopped(self, tmp_path, monkeypatch, capsys):
+        def one_row_then_fail(points, stream):
+            stream.write("classical,partial\n")
+            raise OSError("disk gone")
+
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an older, longer file\n" * 100)
+        monkeypatch.setattr(cli, "write_csv", one_row_then_fail)
+        assert main([*self.POINT, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "irboost: i/o error: disk gone\n"
+        assert out.read_bytes() == b"classical,partial\n"
+
+
 class TestJsonKeyOrder:
     """The JSON key order is part of the interface; the writers take it
     from the dataclasses' field order, so a reordered field must fail here."""

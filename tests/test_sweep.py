@@ -539,6 +539,17 @@ class TestCsv:
         export_csv([], path)
         assert path.read_text() == ",".join(CSV_HEADER) + "\n"
 
+    def test_rewrite_leaves_no_old_tail(self, tmp_path):
+        # export_csv writes over an existing file from byte 0 and cuts it at
+        # the end of the new text
+        path = tmp_path / "rw.csv"
+        points, _ = sweep(SweepConfig("classical", 50, seed=2))
+        export_csv(points, path)
+        export_csv(points[:1], path)
+        buf = io.StringIO()
+        write_csv(points[:1], buf)
+        assert path.read_bytes() == buf.getvalue().encode()
+
     def test_single_classical_row(self, tmp_path):
         path = tmp_path / "one.csv"
         pt = eval_point(ClassicalParams(0.5, 0.8, 0.2))
