@@ -195,17 +195,23 @@ def with_error(estimate: float, n: int, *terms: float) -> EstimateWithError:
     return EstimateWithError(estimate=estimate, std_error=math.sqrt(var), n=n)
 
 
+def _rate_and_error(counts: ArmCounts) -> "tuple[float, float]":
+    """An arm's rate p = n_success / n_total and its binomial (Wald) error
+    sqrt(p (1 - p) / n), as plain floats; EmptyArm on an empty arm."""
+    n = counts.n_total
+    if n == 0:
+        raise EmptyArm("no documents observed in this arm")
+    p = counts.n_success / n
+    return p, math.sqrt(p * (1.0 - p) / n)
+
+
 def estimate_rate(counts: ArmCounts) -> EstimateWithError:
     """Empirical success rate of an arm with its binomial (Wald) error.
 
     std_error = sqrt(p_hat (1 - p_hat) / n); exactly zero on degenerate
     all-success / all-failure tallies.
     """
-    if counts.n_total == 0:
-        raise EmptyArm("no documents observed in this arm")
-    p_hat = counts.n_success / counts.n_total
-    se = math.sqrt(p_hat * (1.0 - p_hat) / counts.n_total)
-    return EstimateWithError(estimate=p_hat, std_error=se, n=counts.n_total)
+    return EstimateWithError(*_rate_and_error(counts), n=counts.n_total)
 
 
 def accardi_from_counts(
@@ -214,23 +220,25 @@ def accardi_from_counts(
     """Accardi invariant of three empirical arm tallies.
 
     The point estimate is exactly ``accardi`` applied to the three empirical
-    rates.  The standard error is first-order (delta method) treating the
-    three arms as independent experiments; ``n`` is the combined number of
-    tallied documents.
+    rates, and raises as it does.  The standard error is first-order (delta
+    method) treating the three arms as independent experiments; ``n`` is the
+    combined number of tallied documents.
     """
-    est_r = estimate_rate(arm_r)
-    est_n = estimate_rate(arm_n)
-    est_x = estimate_rate(arm_direct)
-    a = accardi(RateTriple(est_r.estimate, est_n.estimate, est_x.estimate))
+    q_r, se_r = _rate_and_error(arm_r)
+    q_n, se_n = _rate_and_error(arm_n)
+    p_x, se_x = _rate_and_error(arm_direct)
+    a = accardi_of_rates(q_r, q_n, p_x)
+    if math.isnan(a):  # the checked route raises its error, for a NaN rate too
+        accardi(RateTriple(q_r, q_n, p_x))
 
-    denom = est_r.estimate - est_n.estimate
+    denom = q_r - q_n
     d_dx = 1.0 / denom
-    d_dr = -(est_x.estimate - est_n.estimate) / denom**2
-    d_dn = (est_x.estimate - est_r.estimate) / denom**2
+    d_dr = -(p_x - q_n) / denom**2
+    d_dn = (p_x - q_r) / denom**2
     return with_error(
-        a,
+        float(a),  # a float on NumPy integer counts too, as accardi gives
         arm_r.n_total + arm_n.n_total + arm_direct.n_total,
-        d_dx * est_x.std_error,
-        d_dr * est_r.std_error,
-        d_dn * est_n.std_error,
+        d_dx * se_x,
+        d_dr * se_r,
+        d_dn * se_n,
     )

@@ -296,12 +296,18 @@ def parse_count_file(path) -> "tuple[int, int, int, int, int]":
     digits only.  Raises MalformedInput on decoding, parse or consistency
     failure.
     """
-    # one unbuffered read: a count file is a few lines, and the text-I/O
-    # stack cost more than the parse
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.read()
+    # raw reads to EOF: for a few lines, a file object cost more than the parse
+    fd = os.open(path, os.O_RDONLY)
     try:
-        text = data.decode("utf-8")
+        chunks = []
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    except OSError as exc:  # os.read's error names no file: a directory fails here
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInput(str(exc)) from None
     tokens: list[str] = []

@@ -178,6 +178,14 @@ def test_csv_rows_export_csv_could_write_are_read(rows):
 
 
 def test_missing_and_directory_paths_exit_3():
-    for command in ("estimate", "gnuplot"):
-        assert run_main([command, "{tmp}/no-such-file"])[0] == 3
-        assert run_main([command, "{tmp}"])[0] == 3
+    # one error line that names the path; a directory opens, and its read
+    # is what fails
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = os.path.join(tmp, "no-such-file")
+        for command in ("estimate", "gnuplot"):
+            for path, reason in ((missing, "No such file or directory"), (tmp, "Is a directory")):
+                code, stderr = run_main([command, path])
+                assert code == 3, stderr
+                assert stderr.count("\n") == 1, stderr
+                assert stderr.endswith(f"{reason}: {path!r}\n"), stderr
+                assert "Traceback" not in stderr, stderr

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,7 +201,82 @@ class TestEstimateRate:
             estimate_rate(ArmCounts(0, 0))
 
 
+def _composed_accardi_from_counts(arm_r, arm_n, arm_direct):
+    """accardi_from_counts through the checked objects: estimate_rate for
+    each arm, RateTriple, accardi, then the three delta-method terms in
+    their order through with_error."""
+    est_r, est_n, est_x = (estimate_rate(c) for c in (arm_r, arm_n, arm_direct))
+    a = accardi(RateTriple(est_r.estimate, est_n.estimate, est_x.estimate))
+    denom = est_r.estimate - est_n.estimate
+    d_dx = 1.0 / denom
+    d_dr = -(est_x.estimate - est_n.estimate) / denom**2
+    d_dn = (est_x.estimate - est_r.estimate) / denom**2
+    return with_error(
+        a,
+        arm_r.n_total + arm_n.n_total + arm_direct.n_total,
+        d_dx * est_x.std_error,
+        d_dr * est_r.std_error,
+        d_dn * est_n.std_error,
+    )
+
+
+def _from_counts_outcome(fn, arms):
+    """The bits of an estimate and its n, or the class and message of the
+    error it raised."""
+    try:
+        est = fn(*arms)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return est.estimate.hex(), est.std_error.hex(), est.n
+
+
+def _random_arm_triples(count, seed):
+    """Seeded (n_total, n_success) triples with arms of 1 to 10**12
+    documents.  One triple in four gives the not-relevant arm the relevant
+    arm's rate, scaled by m documents; with one more document on that arm,
+    the two rates differ by less than EPS_DENOM once m * n_total is large."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 10 ** rng.integers(1, 13, size=(count, 3)), endpoint=True)
+    s = rng.integers(0, n, endpoint=True)
+    m = rng.integers(1, 10**4, size=count, endpoint=True)
+    extra = rng.integers(0, 1, size=count, endpoint=True)
+    tied = rng.random(count) < 0.25
+    n[tied, 1] = n[tied, 0] * m[tied] + extra[tied]
+    s[tied, 1] = s[tied, 0] * m[tied]
+    return [tuple(zip(totals, successes)) for totals, successes in zip(n.tolist(), s.tolist())]
+
+
 class TestAccardiFromCounts:
+    def test_matches_the_composed_route(self):
+        # estimate, error and n bit for bit, and the same error where A is
+        # undefined: equal rates, rates within EPS_DENOM of each other, and
+        # a NaN rate that RateTriple rejects
+        triples = _random_arm_triples(100_000, 2013)
+        triples += [((10, 5), (10, 5), (10, 5)), ((math.inf, math.inf), (10, 2), (10, 5))]
+        undefined = 0
+        for triple in triples:
+            arms = [ArmCounts(*arm) for arm in triple]
+            got = _from_counts_outcome(accardi_from_counts, arms)
+            assert got == _from_counts_outcome(_composed_accardi_from_counts, arms), triple
+            undefined += got[0] is AccardiUndefined
+        assert undefined > 10_000
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["relevant", "not-relevant", "direct"])
+    def test_empty_arm_in_each_position(self, position):
+        arms = [ArmCounts(10, 5), ArmCounts(10, 2), ArmCounts(10, 4)]
+        arms[position] = ArmCounts(0, 0)
+        with pytest.raises(EmptyArm, match="^no documents observed in this arm$"):
+            accardi_from_counts(*arms)
+
+    def test_numpy_integer_counts_give_floats(self):
+        counts = [(40, 31), (60, 11), (50, 27)]
+        want = accardi_from_counts(*(ArmCounts(n, k) for n, k in counts))
+        got = accardi_from_counts(*(ArmCounts(np.int64(n), np.int64(k)) for n, k in counts))
+        assert type(got.estimate) is float and type(got.std_error) is float
+        assert (got.estimate.hex(), got.std_error.hex(), got.n) == (
+            want.estimate.hex(), want.std_error.hex(), want.n
+        )
+
     def test_matches_point_estimates(self):
         est = accardi_from_counts(
             ArmCounts(1000, 1000), ArmCounts(1000, 0), ArmCounts(1000, 700)

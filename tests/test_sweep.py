@@ -507,6 +507,16 @@ class TestEstimateFromFile:
         assert outcome.point.a == pytest.approx(0.5, abs=1e-12)
         assert outcome == estimate_from_file(self.write(tmp_path, "1000 500 400 100 500"))
 
+    def test_read_runs_to_the_end_of_a_long_file(self, tmp_path):
+        # over 64 KiB of comments, with a three-byte character at bytes
+        # 65535-65537: a reader that stops after its first 64 KiB read, or
+        # decodes each read on its own, cuts that character
+        head = "# note\n" * 9_362 + "#\u20ac\n"
+        text = head + "# more\n" * 100 + "1000 500 400 100 500\n"
+        assert text.encode()[65_535:65_538] == "\u20ac".encode()
+        outcome = estimate_from_file(self.write(tmp_path, text))
+        assert outcome == estimate_from_file(self.write(tmp_path, "1000 500 400 100 500\n"))
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=_COUNT_FILES)
     @example(data=b"1000 500 400 100 500 \xe2\x82")
