@@ -69,12 +69,16 @@ class ArmCounts:
     n_success: int
 
     def __post_init__(self):
-        if self.n_total < 0 or self.n_success < 0:
+        n, k = self.n_total, self.n_success
+        # one chained test for a valid tally; every comparison with NaN is
+        # false, and an int beyond float range compares without converting
+        if 0 <= k <= n < math.inf:
+            return
+        if not (-math.inf < n < math.inf and -math.inf < k < math.inf):
+            raise ValueError(f"counts must be finite, got n_total={n}, n_success={k}")
+        if n < 0 or k < 0:
             raise ValueError("counts must be nonnegative")
-        if self.n_success > self.n_total:
-            raise ValueError(
-                f"n_success={self.n_success} exceeds n_total={self.n_total}"
-            )
+        raise ValueError(f"n_success={k} exceeds n_total={n}")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ same seed.  The 24 words are exactly
 ``numpy.random.SeedSequence(seed).generate_state(24, np.uint64)``; they are
 computed from that sequence's mixed pool with ``generate_state``'s output
 hash in one NumPy pass instead of NumPy's word-by-word loop, and the tests
-check the two agree on the installed NumPy.
+check the two agree on the installed NumPy.  A Monte Carlo sweep hashes its
+point seeds one chunk at a time instead (``_seed_words``): it mixes the
+pools of a whole chunk with ``SeedSequence``'s own rule and applies the
+same output hash, then keeps each point's words for the point's run.  The
+words, and so every run, are the same as a run of that seed alone.
 """
 
 from __future__ import annotations
@@ -247,10 +251,10 @@ class _Words(ISeedSequence):
         return self.words
 
 
-# The run's seed hash in uint32 words: four uint64 words per substream after
-# a skipped first block.  SeedSequence.generate_state's output hash constants
-# are c_0 = 0x8B51F9DD and c_(i+1) = c_i * 0x58F38DED mod 2**32; word i takes
-# c_i and c_(i+1), and pool word i % 4 (the default pool size).
+# The generate_state hash of a run's seed in uint32 words: four uint64 words
+# per substream after a skipped first block.  Its constants are
+# c_0 = 0x8B51F9DD and c_(i+1) = c_i * 0x58F38DED mod 2**32; word i takes c_i
+# and c_(i+1), and pool word i % 4 (the default pool size).
 _N_HASH_WORDS = 2 * 4 * (len(_ARMS) + 1)
 _HASH_C = np.array(
     [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(_N_HASH_WORDS + 1)],
@@ -260,14 +264,15 @@ _HASH_XOR, _HASH_MUL = _HASH_C[:-1], _HASH_C[1:]
 _POOL_INDEX = np.arange(_N_HASH_WORDS) % 4
 
 
-def _run_words(seed: int) -> np.ndarray:
-    """The run's one seed hash, ``SeedSequence(seed).generate_state(24,
-    np.uint64)``, four words per substream after a skipped first block.
+def _hash_words(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(24, np.uint64)`` of a mixed pool, the last axis of
+    ``pool`` (four uint32 words), read-only: shape (24,) for one pool and
+    (k, 24) for k.
 
     uint32 word i is ``x = pool[i % 4] ^ c_i; x *= c_(i+1); x ^= x >> 16``
     (mod 2**32), as in ``generate_state``, but for all words in one pass.
     """
-    x = np.random.SeedSequence(seed).pool[_POOL_INDEX]
+    x = pool.take(_POOL_INDEX, -1)  # C order, unlike pool[..., _POOL_INDEX]
     x ^= _HASH_XOR
     x *= _HASH_MUL
     x ^= x >> 16
@@ -278,12 +283,78 @@ def _run_words(seed: int) -> np.ndarray:
     return words
 
 
+def _run_words(seed: int) -> np.ndarray:
+    """The run's one seed hash, ``SeedSequence(seed).generate_state(24,
+    np.uint64)``, four words per substream after a skipped first block.
+    For one seed, NumPy's own ``SeedSequence`` mixes the pool fastest."""
+    return _hash_words(np.random.SeedSequence(seed).pool)
+
+
+# SeedSequence's pool mixing for an int seed below 2**64.  Its entropy is
+# the seed's low and high uint32 words, padded with zeros to the pool's four
+# (a seed below 2**32 has one word; hashing a missing word hashes 0).  Hash
+# call j is ``x ^= h_j; x *= h_(j+1); x ^= x >> 16``, where h_0 = 0x43B0D7E5
+# and h_(j+1) = h_j * 0x931E8875 (mod 2**32).  Calls 0-3 hash the entropy
+# into the pool.  Then, for each source word s in turn, calls 4 + 3s .. 6 + 3s
+# hash word s once for each other word d, in ascending d, and mix the hash y
+# into it: ``d = 0xCA01F9DD * d - 0x4973F715 * y; d ^= d >> 16``.
+_MIX_H = np.array(
+    [0x43B0D7E5 * pow(0x931E8875, j, 2**32) % 2**32 for j in range(17)], np.uint32
+)[:, None]
+_MIX_L, _MIX_R = np.array([[0xCA01F9DD], [0x4973F715]], np.uint32)
+
+
+def _mix_step(s: int):
+    """(xor, mul, into) for source word s, one row per pool word d: the
+    constants of the hash call mixed into d, and whether d is mixed into
+    (word s is not, and its constants are unused)."""
+    d = np.arange(4)[:, None]
+    call = 4 + 3 * s + d - (d >= s)
+    return _MIX_H[call, 0], _MIX_H[call + 1, 0], d != s
+
+
+_MIX_STEPS = [_mix_step(s) for s in range(4)]
+# Seeds hashed per pass: a pass costs tens of microseconds whatever its
+# size, and its arrays take a few hundred bytes per seed.
+_SEED_CHUNK = 1024
+
+
+def _mixed_pools(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).pool`` of each uint64 seed s, one row per seed."""
+    pool = np.zeros((4, seeds.size), np.uint32)
+    pool[:2] = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
+    pool ^= _MIX_H[:4]
+    pool *= _MIX_H[1:5]
+    pool ^= pool >> 16
+    for s, (xor, mul, into) in enumerate(_MIX_STEPS):
+        hashed = pool[s] ^ xor
+        hashed *= mul
+        hashed ^= hashed >> 16
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> 16
+        np.copyto(pool, mixed, where=into)
+    return pool.T
+
+
+def _seed_words(seeds: np.ndarray):
+    """``_run_words(s)`` for each seed s of a uint64 array, in order, as
+    read-only rows: one NumPy pass per ``_SEED_CHUNK`` seeds mixes their
+    pools and hashes them, so many seeds build no ``SeedSequence`` each."""
+    for start in range(0, seeds.size, _SEED_CHUNK):
+        yield from _hash_words(_mixed_pools(seeds[start : start + _SEED_CHUNK]))
+
+
 # The last run's (model, seed, rates, words): every arm of a run goes
 # through simulate_arm, and the five share one computation of the rates and
-# of the seed hash.  The tuple is swapped whole, so threads never see a
-# stale pair.  A miss always allocates one tuple; an lru_cache(maxsize=1)'s
-# dict gets a new key table every few misses, so whether a run allocated
-# one would depend on how many runs came before it.
+# of the seed hash.  A sweep that has hashed its point seeds already keeps
+# each point's words here before the point runs.  The tuple is swapped
+# whole, so threads never see a stale pair, and it is used only by a run of
+# the same model and seed, whose words are the same.  A miss always
+# allocates one tuple; an lru_cache(maxsize=1)'s dict gets a new key table
+# every few misses, so whether a run allocated one would depend on how many
+# runs came before it.
 _last_run = (None, None, None, None)
 
 
@@ -295,6 +366,13 @@ def _run_state(model: ModelParams, seed: int):
         rates, words = _arm_rates(model), _run_words(seed)
         _last_run = (model, seed, rates, words)
     return rates, words
+
+
+def _keep_run(model: ModelParams, seed: int, words: np.ndarray) -> None:
+    """Keep ``words``, which are ``_run_words(seed)``, and the model's arm
+    rates as the state of the next run of (model, seed)."""
+    global _last_run
+    _last_run = (model, seed, _arm_rates(model), words)
 
 
 def _arm_rng(words: np.ndarray, index: int) -> np.random.Generator:

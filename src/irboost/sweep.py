@@ -15,7 +15,10 @@ All parameter sampling happens up front from one seeded generator,
 of one hash, ``SeedSequence(seed, spawn_key=(0,))``: the seed's first child,
 apart from the words ``default_rng(seed)`` starts from.  A point's seed does
 not depend on ``n_points``, and results are deterministic and independent
-of evaluation order.
+of evaluation order.  The sweep hashes its point seeds into their run words
+one chunk at a time (``stream._seed_words``) rather than once per point;
+the words are the seed's own, so point i is still exactly
+``simulate_*(params_i, n_per_arm, seeds[i])``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,13 @@ from .probcore import (
 )
 from .quantum import QuantumParams
 from .stream import (
-    _check_int, check_n_per_arm, check_seed, simulate_classical, simulate_quantum
+    _check_int,
+    _keep_run,
+    _seed_words,
+    check_n_per_arm,
+    check_seed,
+    simulate_classical,
+    simulate_quantum,
 )
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
@@ -185,15 +194,18 @@ def _analytic_points(
 
 
 def _montecarlo_point(
-    params: ModelParams, n_per_arm: int, seed: int, m: float
+    params: ModelParams, n_per_arm: int, seed: int, m: float, words=None
 ) -> ScatterPoint:
     """One Monte Carlo point: ``a`` and ``delta`` are the run's
     ``accardi_est.estimate`` and ``boost_est.estimate`` where the point's
     flags allow them; NaN with a false flag where the margin, a starved arm
-    or the rule leaves a quantity undefined."""
+    or the rule leaves a quantity undefined.  ``words``, if given, are the
+    seed's run words, hashed already by the caller."""
     accardi_ok, boost_ok = params.flags(m)
     a = delta = math.nan
     if accardi_ok or boost_ok:
+        if words is not None:
+            _keep_run(params, seed, words)
         # looked up at call time, so wrappers on this module see each run
         if isinstance(params, ClassicalParams):
             result = simulate_classical(params, n_per_arm, seed)
@@ -244,10 +256,10 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
         points = _analytic_points(config.model, mat, params, m)
     else:
         root = np.random.SeedSequence(config.seed, spawn_key=(0,))
-        seeds = root.generate_state(config.n_points, np.uint64).tolist()
+        seeds = root.generate_state(config.n_points, np.uint64)
         points = [
-            _montecarlo_point(pt, config.n_per_arm, seed, m)
-            for pt, seed in zip(params, seeds)
+            _montecarlo_point(pt, config.n_per_arm, seed, m, words)
+            for pt, seed, words in zip(params, seeds.tolist(), _seed_words(seeds))
         ]
     return points, summarize(points)
 

@@ -51,8 +51,47 @@ class TestArmCounts:
             ArmCounts(n_total=3, n_success=4)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
             ArmCounts(n_total=-1, n_success=0)
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            ArmCounts(n_total=5, n_success=-1)
+
+    def test_message_for_success_above_total(self):
+        with pytest.raises(ValueError, match="^n_success=4 exceeds n_total=3$"):
+            ArmCounts(n_total=3, n_success=4)
+
+    @pytest.mark.parametrize(
+        "n_total, n_success",
+        [
+            (math.inf, math.inf),  # its rate was NaN, rejected only by RateTriple
+            (math.nan, math.nan),
+            (10, math.nan),
+            (math.nan, 0),
+            (math.inf, 3),
+            (-math.inf, 0),
+            (10, -math.inf),
+            (np.float64("inf"), 1),
+            (np.float32("nan"), 1),
+        ],
+    )
+    def test_rejects_non_finite(self, n_total, n_success):
+        with pytest.raises(ValueError, match="^counts must be finite, got n_total="):
+            ArmCounts(n_total, n_success)
+
+    @pytest.mark.parametrize(
+        "n_total, n_success",
+        [
+            (0, 0),
+            (10**400, 10**399),  # beyond float range: compared, not converted
+            (10**400, 0),
+            (np.int64(2**62), np.int64(7)),
+            (np.uint64(2**64 - 1), np.uint64(2**64 - 1)),
+            (10.0, 4.0),
+        ],
+    )
+    def test_accepts_finite_counts(self, n_total, n_success):
+        counts = ArmCounts(n_total, n_success)
+        assert (counts.n_total, counts.n_success) == (n_total, n_success)
 
 
 class TestAccardi:
@@ -249,10 +288,11 @@ def _random_arm_triples(count, seed):
 class TestAccardiFromCounts:
     def test_matches_the_composed_route(self):
         # estimate, error and n bit for bit, and the same error where A is
-        # undefined: equal rates, rates within EPS_DENOM of each other, and
-        # a NaN rate that RateTriple rejects
+        # undefined: equal rates and rates within EPS_DENOM of each other
+        # (an infinite count, whose rate was NaN, no longer makes an arm:
+        # TestArmCounts.test_rejects_non_finite)
         triples = _random_arm_triples(100_000, 2013)
-        triples += [((10, 5), (10, 5), (10, 5)), ((math.inf, math.inf), (10, 2), (10, 5))]
+        triples += [((10, 5), (10, 5), (10, 5))]
         undefined = 0
         for triple in triples:
             arms = [ArmCounts(*arm) for arm in triple]

@@ -37,12 +37,21 @@ from irboost.quantum import quantum_rates
 from irboost.stream import (
     _ARMS,
     _MAX_N_PER_ARM,
+    _SEED_CHUNK,
     BASELINE_NAME,
     _arm_rates,
     _arm_rng,
     _run_state,
     _run_words,
+    _seed_words,
 )
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# a column longer than one hash chunk, with the edge seeds across the boundary
+_CHUNK_CROSSING_SEEDS = [
+    (i * 0x9E3779B97F4A7C15) % 2**64 for i in range(_SEED_CHUNK + 5)
+]
+_CHUNK_CROSSING_SEEDS[_SEED_CHUNK - 2 : _SEED_CHUNK + 3] = _EDGE_SEEDS
 
 
 class TestDeterminism:
@@ -471,20 +480,22 @@ class TestArmKeying:
         with pytest.raises(ValueError):
             _run_words(7)[0] = 0
 
-    @given(seed=st.integers(0, 2**64 - 1))
-    @example(seed=0)
-    @example(seed=1)
-    @example(seed=2**32 - 1)
-    @example(seed=2**32)
-    @example(seed=2**64 - 1)
-    @settings(max_examples=300)
-    def test_seed_words_are_numpys(self, seed):
-        # the one-pass hash gives exactly the installed NumPy's words
-        words = _run_words(seed)
-        want = np.random.SeedSequence(seed).generate_state(24, np.uint64)
-        assert words.dtype == np.uint64 and words.shape == (24,)
-        assert np.array_equal(words, want)
-        assert not words.flags.writeable
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    @example(seeds=_EDGE_SEEDS)
+    @example(seeds=_CHUNK_CROSSING_SEEDS)
+    @settings(max_examples=200, deadline=None)
+    def test_seed_words_are_numpys(self, seeds):
+        # both hashes give exactly the installed NumPy's words: the one-seed
+        # path from NumPy's pool, and the batch path that mixes the pools
+        # itself, one chunk of seeds at a time
+        batch = list(_seed_words(np.array(seeds, np.uint64)))
+        assert len(batch) == len(seeds)
+        for seed, row in zip(seeds, batch):
+            want = np.random.SeedSequence(seed).generate_state(24, np.uint64)
+            for words in (_run_words(seed), row):
+                assert words.dtype == np.uint64 and words.shape == (24,)
+                assert np.array_equal(words, want), seed
+                assert not words.flags.writeable
 
     @given(seed=st.integers(0, 2**64 - 1))
     @example(seed=0)
@@ -533,18 +544,39 @@ class TestArmKeying:
         assert len(set(kept[1:])) == 1, kept
 
     def test_threads_match_sequential(self):
-        # runs on two threads share the cached seed hash and arm rates; a
-        # short switch interval makes their arms interleave
+        # runs on three threads share the kept seed hash and arm rates; a
+        # short switch interval makes their arms interleave.  One thread
+        # runs a Monte Carlo sweep, which keeps each point's words from its
+        # batch hash as the state of the point's run, while the others run
+        # simulate_quantum at 400 seeds of one point and on the sweep's own
+        # points, at the point's seed and at the previous point's seed.
+        # Each run must use only its own state.  The sweep crosses a hash
+        # chunk boundary
         params = QuantumParams(1.1, 0.6)
-        seeds = list(range(400))
-        want = [simulate_quantum(params, 300, seed) for seed in seeds]
+        n_points, n = _SEED_CHUNK + 40, 30
+        config = SweepConfig("quantum", n_points, seed=9, mode="montecarlo", n_per_arm=n)
+        root = np.random.SeedSequence(9, spawn_key=(0,))
+        point_seeds = root.generate_state(n_points, np.uint64).tolist()
+        points, _ = sweep(config)
+        jobs = [(params, 300, seed) for seed in range(400)]
+        for i, pt in enumerate(points):
+            jobs += [(pt.params, n, point_seeds[i]), (pt.params, n, point_seeds[i - 1])]
+
+        def sweep_rows():
+            return [tuple(map(repr, pt)) for pt in sweep(config)[0]]
+
+        want_sweep = sweep_rows()
+        want = [simulate_quantum(*job) for job in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                got = list(pool.map(lambda s: simulate_quantum(params, 300, s), seeds, timeout=60))
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                sweep_job = pool.submit(sweep_rows)
+                got = list(pool.map(lambda job: simulate_quantum(*job), jobs, timeout=120))
+                got_sweep = sweep_job.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        assert got_sweep == want_sweep
         assert got == want
 
     def test_threads_alternating_models_match_sequential(self):

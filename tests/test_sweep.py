@@ -36,6 +36,7 @@ from irboost.sweep import (
     write_csv,
     write_gnuplot,
 )
+from irboost.stream import _SEED_CHUNK
 
 # parameters in each model's box, its ends and its singular points included
 _unit = st.one_of(st.sampled_from([0.0, 1e-12, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -192,20 +193,24 @@ class TestSweepMonteCarlo:
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_points_run_with_their_documented_seeds(self, model):
         # point i is simulate_*(params_i, n_per_arm, seeds[i]), flagged at
-        # the exclusion margin
-        n_pts, n = 12, 300
-        config = SweepConfig(model, n_pts, seed=2024, mode="montecarlo", n_per_arm=n)
-        points, _ = sweep(config)
+        # the exclusion margin; also past the first chunk of point seeds
+        # that a sweep hashes in one pass
         simulate = simulate_classical if model == "classical" else simulate_quantum
-        for i, pt in enumerate(points):
-            res = simulate(pt.params, n, _mc_seed(2024, i))
-            a_ok, d_ok = eval_point(pt.params)[4:]  # the flags at the default margin
-            a_est = res.accardi_est if a_ok else None
-            b_est = res.boost_est if d_ok else None
-            assert pt.accardi_defined == (a_est is not None)
-            assert pt.boost_defined == (b_est is not None)
-            assert _same(pt.a, a_est.estimate if a_est else math.nan)
-            assert _same(pt.delta, b_est.estimate if b_est else math.nan)
+        for n_pts, n in [(12, 300), (_SEED_CHUNK + 3, 2)]:
+            config = SweepConfig(model, n_pts, seed=2024, mode="montecarlo", n_per_arm=n)
+            points, _ = sweep(config)
+            assert len(points) == n_pts
+            # _mc_seed(2024, i) for every i at once
+            root = np.random.SeedSequence(2024, spawn_key=(0,))
+            for pt, seed in zip(points, root.generate_state(n_pts, np.uint64).tolist()):
+                res = simulate(pt.params, n, seed)
+                a_ok, d_ok = eval_point(pt.params)[4:]  # the flags at the default margin
+                a_est = res.accardi_est if a_ok else None
+                b_est = res.boost_est if d_ok else None
+                assert pt.accardi_defined == (a_est is not None)
+                assert pt.boost_defined == (b_est is not None)
+                assert _same(pt.a, a_est.estimate if a_est else math.nan)
+                assert _same(pt.delta, b_est.estimate if b_est else math.nan)
 
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_prefix_of_a_longer_sweep(self, model):
