@@ -96,10 +96,14 @@ _ARMS = (
     *((kind, i, kind.value) for i, kind in enumerate(ArmKind)),
     (None, 4, BASELINE_NAME),
 )
+# every arm's kind, in substream order
+_ALL_ARMS = tuple(kind for kind, _, _ in _ARMS)
 # the arms whose rates the Accardi invariant takes, in RateTriple order
 _ACCARDI_ARMS = (
     ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM
 )
+# the arms whose rates the boost takes, posterior then prior
+_BOOST_ARMS = (ArmKind.EXPAND_THEN_RELEVANCE, None)
 
 
 def _check_int(value, low: int, high: float, message: str) -> int:
@@ -151,8 +155,9 @@ class SimResult:
     (acceptance probability effectively zero).  ``rates``, ``accardi_est``
     and ``boost_est`` are computed from the tallies when read; each is None
     whenever an arm it depends on starved or the quantity is undefined.
-    This class also owns the cheaper read of the two estimates' values
-    alone, which a Monte Carlo sweep point takes.
+    A Monte Carlo sweep point builds no SimResult: it runs only the arms its
+    flags read and takes the two estimates' values alone from those tallies
+    (``_point_estimates``), bit for bit the ones this class reads.
     """
 
     config: SimConfig
@@ -163,18 +168,6 @@ class SimResult:
         """Counts of the three arms A is read from, or None if one starved."""
         tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
         return None if None in tallies else [t.counts for t in tallies]
-
-    def _estimate_values(self) -> "tuple[float, float]":
-        """(``accardi_est.estimate``, ``boost_est.estimate``) bit for bit, NaN
-        for an estimate that is None, through the same float rules on each
-        tally's rate without building the estimates."""
-        tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
-        tallies += self.arms[ArmKind.EXPAND_THEN_RELEVANCE], self.baseline
-        r, n, direct, expand, base = [
-            math.nan if t is None else t.counts.n_success / t.counts.n_total
-            for t in tallies
-        ]
-        return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
 
     @property
     def rates(self) -> Optional[RateTriple]:
@@ -347,7 +340,7 @@ def _seed_words(seeds: np.ndarray):
 
 
 # The last run's (model, seed, rates, words): every arm of a run goes
-# through simulate_arm, and the five share one computation of the rates and
+# through simulate_arm, and the arms share one computation of the rates and
 # of the seed hash.  A sweep that has hashed its point seeds already keeps
 # each point's words here before the point runs.  The tuple is swapped
 # whole, so threads never see a stale pair, and it is used only by a run of
@@ -421,21 +414,47 @@ def simulate_arm(
     return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)
 
 
-def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
+def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds) -> dict:
+    """The tally of each arm of ``kinds`` (ArmKinds, or None for the
+    baseline) in one run of (model, n_per_arm, seed), keyed by kind and in
+    the order given; None for an arm that starved.  Each arm draws from its
+    own substream, so an arm's tally does not depend on which others run."""
     # Each arm goes through the module-level simulate_arm, looked up at call
-    # time, though the run has checked its arguments already: bench/tracing.py
-    # counts one stream.simulate_arm span per arm, and the stream.arm_us
-    # metric divides by that count, so a run that routes around the call
-    # kills the traced benchmark with ZeroDivisionError.  Keep the call until
-    # the tracer hooks the arms elsewhere.
-    config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-    n_per_arm, seed = config.n_per_arm, config.seed
+    # time, though the caller has checked its arguments already:
+    # bench/tracing.py counts one stream.simulate_arm span per arm, and the
+    # stream.arm_us metric divides by that count, so a run that routes
+    # around the call kills the traced benchmark with ZeroDivisionError.
+    # Keep the call until the tracer hooks the arms elsewhere.  A full run
+    # takes all five arms; a Monte Carlo sweep point takes only those its
+    # flags read, so stream.arms_per_point reads under 5 on a sweep that
+    # holds a point inside the exclusion margin.
     arms = {}
-    for kind, _, _ in _ARMS:
+    for kind in kinds:
         try:
             arms[kind] = simulate_arm(model, kind, n_per_arm, seed)
         except ArmStarvation:
             arms[kind] = None
+    return arms
+
+
+def _point_estimates(
+    tallies: "Mapping[Optional[ArmKind], Optional[ArmTally]]",
+) -> "tuple[float, float]":
+    """(A, Delta) read from a run's tallies, keyed as ``_tallies`` keys
+    them: bit for bit ``SimResult.accardi_est.estimate`` and
+    ``boost_est.estimate``, through the same float rules on each tally's
+    rate without building the estimates.  An arm that is absent or starved
+    reads as NaN, and so does an estimate that reads it."""
+    r, n, direct, expand, base = [
+        math.nan if t is None else t.counts.n_success / t.counts.n_total
+        for t in map(tallies.get, _ALL_ARMS)
+    ]
+    return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
+
+
+def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
+    config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
+    arms = _tallies(model, config.n_per_arm, config.seed, _ALL_ARMS)
     baseline = arms.pop(None)
     return SimResult(config, arms, baseline)
 

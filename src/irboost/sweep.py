@@ -17,8 +17,10 @@ apart from the words ``default_rng(seed)`` starts from.  A point's seed does
 not depend on ``n_points``, and results are deterministic and independent
 of evaluation order.  The sweep hashes its point seeds into their run words
 one chunk at a time (``stream._seed_words``) rather than once per point;
-the words are the seed's own, so point i is still exactly
-``simulate_*(params_i, n_per_arm, seeds[i])``.
+the words are the seed's own.  A point runs only the arms its flags read
+(none where both are false); each arm draws from its own substream, so
+point i's values are still bit for bit those of
+``simulate_*(params_i, n_per_arm, seeds[i])`` at its flags.
 """
 
 from __future__ import annotations
@@ -49,14 +51,20 @@ from .probcore import (
 )
 from .quantum import QuantumParams
 from .stream import (
+    _ACCARDI_ARMS,
+    _BOOST_ARMS,
     _check_int,
     _keep_run,
+    _point_estimates,
     _seed_words,
+    _tallies,
     check_n_per_arm,
     check_seed,
-    simulate_classical,
-    simulate_quantum,
 )
+
+# Unused here, but bench/tracing.py looks both up on this module by name
+# (its PATCHES list) and fails to install without them.
+from .stream import simulate_classical, simulate_quantum
 
 MODELS = {cls.name: cls for cls in (ClassicalParams, QuantumParams)}
 MODES = ("analytic", "montecarlo")
@@ -199,21 +207,19 @@ def _montecarlo_point(
     """One Monte Carlo point: ``a`` and ``delta`` are the run's
     ``accardi_est.estimate`` and ``boost_est.estimate`` where the point's
     flags allow them; NaN with a false flag where the margin, a starved arm
-    or the rule leaves a quantity undefined.  ``words``, if given, are the
-    seed's run words, hashed already by the caller."""
+    or the rule leaves a quantity undefined.  The point runs only the arms
+    its flags read: the three A is read from if A's flag is set, the
+    expansion arm and the baseline if Delta's is.  Each arm draws from its
+    own substream, so the values are bit for bit those of the full
+    ``simulate_*`` run.  ``words``, if given, are the seed's run words,
+    hashed already by the caller."""
     accardi_ok, boost_ok = params.flags(m)
+    kinds = (_ACCARDI_ARMS if accardi_ok else ()) + (_BOOST_ARMS if boost_ok else ())
     a = delta = math.nan
-    if accardi_ok or boost_ok:
+    if kinds:
         if words is not None:
             _keep_run(params, seed, words)
-        # looked up at call time, so wrappers on this module see each run
-        if isinstance(params, ClassicalParams):
-            result = simulate_classical(params, n_per_arm, seed)
-        else:
-            result = simulate_quantum(params, n_per_arm, seed)
-        run_a, run_delta = result._estimate_values()
-        a = run_a if accardi_ok else math.nan
-        delta = run_delta if boost_ok else math.nan
+        a, delta = _point_estimates(_tallies(params, n_per_arm, seed, kinds))
     return ScatterPoint(
         params.name, params, a, delta, not math.isnan(a), not math.isnan(delta)
     )

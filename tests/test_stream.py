@@ -605,9 +605,11 @@ class TestArmKeying:
 
 
 class TestArmCalls:
-    # each run calls the module-level stream.simulate_arm once per arm, in
-    # substream order, with n_per_arm third: the benchmark's tracer counts
-    # those calls, and its stream.arm_us divides by the count
+    # each run calls the module-level stream.simulate_arm once per arm it
+    # runs, in substream order, with n_per_arm third: the benchmark's tracer
+    # counts those calls, and its stream.arm_us divides by the count.  A full
+    # run runs all five arms; a Monte Carlo point runs only the arms its
+    # flags read
     KINDS = [kind for kind, _, _ in _ARMS]
 
     @staticmethod
@@ -628,27 +630,68 @@ class TestArmCalls:
         assert got == want
         return got, calls
 
-    def _assert_runs(self, calls, n_per_arm, n_runs):
-        assert len(calls) == 5 * n_runs
-        for i, (args, kwargs) in enumerate(calls):
-            assert kwargs == {} and len(args) == 4
-            assert args[1] is self.KINDS[i % 5] and args[2] == n_per_arm
-            assert args[3] == calls[i - i % 5][0][3]  # the run's one seed
+    def _point_kinds(self, accardi_ok, boost_ok):
+        """The arms a Monte Carlo point with these flags runs, in order."""
+        return (self.KINDS[:3] if accardi_ok else []) + (self.KINDS[3:] if boost_ok else [])
 
-    @pytest.mark.parametrize("model", ["classical", "quantum"])
-    def test_sweep_point_runs(self, model, monkeypatch):
-        config = SweepConfig(model=model, mode="montecarlo", n_points=3, n_per_arm=40, seed=5)
+    def _assert_runs(self, calls, n_per_arm, runs):
+        """``calls`` are those of the runs in turn: the ``i``-th run calls
+        the arms ``runs[i]``, in that order, all on one seed."""
+        assert [args[1] for args, _ in calls] == [kind for kinds in runs for kind in kinds]
+        for args, kwargs in calls:
+            assert kwargs == {} and len(args) == 4 and args[2] == n_per_arm
+        start = 0
+        for kinds in runs:
+            assert len({args[3] for args, _ in calls[start : start + len(kinds)]}) <= 1
+            start += len(kinds)
+
+    @pytest.mark.parametrize(
+        "model, margin",
+        [(m, 1e-6) for m in ("classical", "quantum")]
+        + [(m, 0.3) for m in ("classical", "quantum")],
+        ids=["classical", "quantum", "classical-margin-0.3", "quantum-margin-0.3"],
+    )
+    def test_sweep_point_runs(self, model, margin, monkeypatch):
+        config = SweepConfig(
+            model=model, mode="montecarlo", n_points=12, n_per_arm=40, seed=5,
+            exclusion_margin=margin,
+        )
         (points, _), calls = self._recorded(monkeypatch, lambda: sweep(config))
-        margin = config.exclusion_margin
-        n_runs = sum(any(pt.params.flags(margin)) for pt in points)
-        assert n_runs == 3
-        self._assert_runs(calls, 40, n_runs)
+        flags = [pt.params.flags(margin) for pt in points]
+        assert len(calls) == sum(3 * a_ok + 2 * b_ok for a_ok, b_ok in flags)
+        self._assert_runs(calls, 40, [self._point_kinds(*f) for f in flags])
+        if margin == 0.3:  # points with one flag false are among them
+            assert {(True, False), (False, True)} & set(flags)
+        else:
+            assert set(flags) == {(True, True)}
+
+    @pytest.mark.parametrize(
+        "params, flags",
+        [
+            (ClassicalParams(2e-7, 0.75, 0.25), (True, False)),  # P(R) in the margin
+            (QuantumParams(math.pi - 1e-3, 0.8), (True, False)),
+            (ClassicalParams(0.5, 0.6, 0.6 + 1e-7), (False, True)),  # tied q_r, q_n
+            (QuantumParams(1.0, math.pi / 2), (False, True)),  # cos(alpha) ~ 0
+        ],
+    )
+    def test_point_with_one_flag_false_runs_the_arms_it_reads(
+        self, params, flags, monkeypatch
+    ):
+        _, calls = self._recorded(
+            monkeypatch, lambda: eval_point(params, "montecarlo", 40, 5)
+        )
+        assert params.flags(1e-6) == flags
+        if flags[0]:
+            want = [ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM]
+        else:
+            want = [ArmKind.EXPAND_THEN_RELEVANCE, None]
+        self._assert_runs(calls, 40, [want])
 
     def test_run_with_a_starved_arm(self, monkeypatch):
         params = QuantumParams(math.pi - 2e-4, 1.0)
         res, calls = self._recorded(monkeypatch, lambda: simulate_quantum(params, 3, 11))
         assert None in [*res.arms.values(), res.baseline]
-        self._assert_runs(calls, 3, 1)
+        self._assert_runs(calls, 3, [self.KINDS])
 
     def test_point_flagged_on_both_counts_makes_no_calls(self, monkeypatch):
         params = QuantumParams(math.pi, math.pi / 2)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irboost import (
+    ArmKind,
     ClassicalParams,
     MalformedInput,
     QuantumParams,
@@ -190,27 +191,49 @@ class TestSweepMonteCarlo:
         assert not pt.accardi_defined
 
 
-    @pytest.mark.parametrize("model", ["classical", "quantum"])
-    def test_points_run_with_their_documented_seeds(self, model):
+    @pytest.mark.parametrize(
+        "model, margin",
+        [(m, DEFAULT_EXCLUSION_MARGIN) for m in ("classical", "quantum")]
+        + [(m, 0.3) for m in ("classical", "quantum")],
+        ids=["classical", "quantum", "classical-margin-0.3", "quantum-margin-0.3"],
+    )
+    def test_points_run_with_their_documented_seeds(self, model, margin):
         # point i is simulate_*(params_i, n_per_arm, seeds[i]), flagged at
-        # the exclusion margin; also past the first chunk of point seeds
-        # that a sweep hashes in one pass
+        # the exclusion margin, though it runs only the arms its flags read;
+        # also past the first chunk of point seeds that a sweep hashes in one
+        # pass.  At margin 0.3 many points have one flag false.  A point
+        # whose relevance arm starves, as the benchmark's do, runs alone
         simulate = simulate_classical if model == "classical" else simulate_quantum
+        runs = []
         for n_pts, n in [(12, 300), (_SEED_CHUNK + 3, 2)]:
-            config = SweepConfig(model, n_pts, seed=2024, mode="montecarlo", n_per_arm=n)
+            config = SweepConfig(
+                model, n_pts, seed=2024, mode="montecarlo", n_per_arm=n,
+                exclusion_margin=margin,
+            )
             points, _ = sweep(config)
             assert len(points) == n_pts
             # _mc_seed(2024, i) for every i at once
             root = np.random.SeedSequence(2024, spawn_key=(0,))
-            for pt, seed in zip(points, root.generate_state(n_pts, np.uint64).tolist()):
-                res = simulate(pt.params, n, seed)
-                a_ok, d_ok = eval_point(pt.params)[4:]  # the flags at the default margin
-                a_est = res.accardi_est if a_ok else None
-                b_est = res.boost_est if d_ok else None
-                assert pt.accardi_defined == (a_est is not None)
-                assert pt.boost_defined == (b_est is not None)
-                assert _same(pt.a, a_est.estimate if a_est else math.nan)
-                assert _same(pt.delta, b_est.estimate if b_est else math.nan)
+            seeds = root.generate_state(n_pts, np.uint64).tolist()
+            runs += [(pt, n, seed) for pt, seed in zip(points, seeds)]
+        if model == "classical":
+            starving = ClassicalParams(2e-7, 0.75, 0.25)
+        else:
+            starving = QuantumParams(math.pi - 1e-3, 0.8)
+        runs.append((eval_point(starving, "montecarlo", 500, 31, margin), 500, 31))
+        assert simulate(starving, 500, 31).arms[ArmKind.COND_ON_RELEVANT] is None
+        one_flag = 0
+        for pt, n, seed in runs:
+            res = simulate(pt.params, n, seed)
+            a_ok, d_ok = eval_point(pt.params, exclusion_margin=margin)[4:]
+            one_flag += a_ok != d_ok
+            a_est = res.accardi_est if a_ok else None
+            b_est = res.boost_est if d_ok else None
+            assert pt.accardi_defined == (a_est is not None)
+            assert pt.boost_defined == (b_est is not None)
+            assert pt.a.hex() == (a_est.estimate if a_est else math.nan).hex()
+            assert pt.delta.hex() == (b_est.estimate if b_est else math.nan).hex()
+        assert one_flag >= (len(runs) // 4 if margin == 0.3 else 1)
 
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_prefix_of_a_longer_sweep(self, model):
@@ -267,10 +290,6 @@ def _mc_seed(seed, index):
     seed's first child, which ``default_rng(seed)`` does not start from."""
     root = np.random.SeedSequence(seed, spawn_key=(0,))
     return int(root.generate_state(index + 1, np.uint64)[index])
-
-
-def _same(x, y):
-    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 class TestEvalPoint:
