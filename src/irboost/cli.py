@@ -43,113 +43,87 @@ from .sweep import (
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser, fmt=True, seed=True) -> None:
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    if fmt:
-        parser.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="output format (default csv)",
-        )
-
-
-def _n_per_arm_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n-per-arm",
+# Every argument once: add_argument's name or flag (the two positionals
+# named path carry a second word that tells them apart), then its keywords
+_ARGUMENTS = {
+    "p": dict(type=float, help="prior relevance P(R)"),
+    "q_r": dict(type=float, help="term rate among relevant, P(X|R)"),
+    "q_n": dict(type=float, help="term rate among non-relevant, P(X|~R)"),
+    "phi": dict(type=float, help="query-state angle in [0, pi]"),
+    "alpha": dict(type=float, help="term-state angle in [0, pi]"),
+    "path counts": dict(help="file with counts: N N_R N_XR N_XN N_X"),
+    "path csv": dict(help="CSV file produced by the sweep subcommand"),
+    "--model": dict(
+        choices=MODELS,
+        required=True,
+        help="document model: classical (urn) or quantum (spin-1/2)",
+    ),
+    "--params": dict(
+        required=True,
+        help="comma-separated parameters: classical p,q_r,q_n or quantum phi,alpha",
+    ),
+    "--n-points": dict(
+        type=int,
+        default=10_000,
+        help="number of sampled parameter points (default %(default)s)",
+    ),
+    "--mode": dict(
+        choices=MODES,
+        default="analytic",
+        help="closed forms or Monte Carlo estimation (default analytic)",
+    ),
+    "--n-per-arm": dict(
         type=int,
         default=DEFAULT_N_PER_ARM,
         help=(
             "accepted documents per Monte Carlo measurement arm "
             f"(default {DEFAULT_N_PER_ARM})"
         ),
-    )
-
-
-def _model_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
-        choices=MODELS,
-        required=True,
-        help="document model: classical (urn) or quantum (spin-1/2)",
-    )
-
-
-def _point_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode",
-        choices=MODES,
-        default="analytic",
-        help="closed forms or Monte Carlo estimation (default analytic)",
-    )
-    _n_per_arm_flag(parser)
-
-
-def _classical_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("p", type=float, help="prior relevance P(R)")
-    p.add_argument("q_r", type=float, help="term rate among relevant, P(X|R)")
-    p.add_argument("q_n", type=float, help="term rate among non-relevant, P(X|~R)")
-    _point_flags(p)
-    _common_flags(p)
-
-
-def _quantum_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("phi", type=float, help="query-state angle in [0, pi]")
-    p.add_argument("alpha", type=float, help="term-state angle in [0, pi]")
-    _point_flags(p)
-    _common_flags(p)
-
-
-def _sweep_args(p: argparse.ArgumentParser) -> None:
-    _model_flag(p)
-    p.add_argument(
-        "--n-points",
-        type=int,
-        default=10_000,
-        help="number of sampled parameter points (default %(default)s)",
-    )
-    _point_flags(p)
-    p.add_argument(
-        "--exclusion-margin",
+    ),
+    "--exclusion-margin": dict(
         type=float,
         default=DEFAULT_EXCLUSION_MARGIN,
         help="guard band around singular parameters (flagged, not dropped)",
-    )
-    _common_flags(p)
-
-
-def _simulate_args(p: argparse.ArgumentParser) -> None:
-    _model_flag(p)
-    p.add_argument(
-        "--params",
-        required=True,
-        help="comma-separated parameters: classical p,q_r,q_n or quantum phi,alpha",
-    )
-    _n_per_arm_flag(p)
-    _common_flags(p, fmt=False)
-
-
-def _estimate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="file with counts: N N_R N_XR N_XN N_X")
-    _common_flags(p, seed=False)
-
-
-def _gnuplot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="CSV file produced by the sweep subcommand")
-    _common_flags(p, fmt=False, seed=False)
-
-
-# subcommand name: (its line in the top-level help, the function adding its arguments)
-_COMMANDS = {
-    "classical": ("evaluate one urn-model point", _classical_args),
-    "quantum": ("evaluate one spin-1/2 point", _quantum_args),
-    "sweep": ("uniform parameter sweep", _sweep_args),
-    "simulate": ("one Monte Carlo stream run (JSON)", _simulate_args),
-    "estimate": ("empirical point from a five-count text file", _estimate_args),
-    "gnuplot": ("reformat a sweep CSV as two-column 'a delta'", _gnuplot_args),
+    ),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(
+        choices=("csv", "json"), default="csv", help="output format (default csv)"
+    ),
 }
+
+# subcommand name: (its line in the top-level help, its arguments in order)
+_COMMANDS = {
+    "classical": (
+        "evaluate one urn-model point",
+        ("p", "q_r", "q_n", "--mode", "--n-per-arm", "--seed", "--out", "--format"),
+    ),
+    "quantum": (
+        "evaluate one spin-1/2 point",
+        ("phi", "alpha", "--mode", "--n-per-arm", "--seed", "--out", "--format"),
+    ),
+    "sweep": (
+        "uniform parameter sweep",
+        (
+            "--model", "--n-points", "--mode", "--n-per-arm", "--exclusion-margin",
+            "--seed", "--out", "--format",
+        ),
+    ),
+    "simulate": (
+        "one Monte Carlo stream run (JSON)",
+        ("--model", "--params", "--n-per-arm", "--seed", "--out"),
+    ),
+    "estimate": (
+        "empirical point from a five-count text file",
+        ("path counts", "--out", "--format"),
+    ),
+    "gnuplot": ("reformat a sweep CSV as two-column 'a delta'", ("path csv", "--out")),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument(name.split()[0], **_ARGUMENTS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, arguments) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), arguments)
     return parser
 
 
@@ -173,7 +147,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     if command is not None:
         # the parser sub.add_parser(argv[0]) makes in build_parser
         parser = argparse.ArgumentParser(prog=f"irboost {argv[0]}")
-        command[1](parser)
+        _add_arguments(parser, command[1])
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]

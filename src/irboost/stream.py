@@ -98,6 +98,8 @@ _ARMS = (
 )
 # every arm's kind, in substream order
 _ALL_ARMS = tuple(kind for kind, _, _ in _ARMS)
+# each arm's kind: (its substream index, its tally name)
+_ARM_ROWS = {kind: (index, name) for kind, index, name in _ARMS}
 # the arms whose rates the Accardi invariant takes, in RateTriple order
 _ACCARDI_ARMS = (
     ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM
@@ -404,11 +406,10 @@ def simulate_arm(
     """
     n_per_arm = check_n_per_arm(n_per_arm)
     seed = check_seed(seed)
-    for row_kind, index, name in _ARMS:
-        if row_kind is kind:
-            break
-    else:
-        raise ValueError("kind must be an ArmKind or None")
+    try:
+        index, name = _ARM_ROWS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError("kind must be an ArmKind or None") from None
     rates, words = _run_state(model, seed)
     p_acc, q_acc = rates[index]
     return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -424,6 +425,12 @@ PARSE_BATTERY = [
     ["classical", "0.5", "0.8"],
     ["simulate", "--model", "quantum", "--params", "-0.5,0.7"],
     ["estimate", "counts.txt", "--seed", "1"],
+    # flags that one subcommand takes and another must reject
+    ["gnuplot", "sweep.csv", "--format", "json"],
+    ["gnuplot", "sweep.csv", "--seed", "1"],
+    ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--format", "csv"],
+    ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--mode", "analytic"],
+    ["estimate", "counts.txt", "--mode", "montecarlo"],
 ]
 
 
@@ -483,3 +490,39 @@ class TestParseRoutes:
     @staticmethod
     def _full_tree():
         raise _FullTreeBuilt
+
+
+def _arguments(parser):
+    """Each action of ``parser`` in order, as argparse was told it."""
+    return [
+        {
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", None),
+            "choices": None if action.choices is None else list(action.choices),
+            "required": action.required,
+            "help": action.help,
+        }
+        for action in parser._actions
+    ]
+
+
+def _argument_surface(parser):
+    """The top level's arguments, then each subcommand's help line and
+    arguments in the order the top-level help lists them."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        "irboost": _arguments(parser),
+        "commands": [
+            {"name": line.dest, "help": line.help, "arguments": _arguments(sub.choices[line.dest])}
+            for line in sub._choices_actions
+        ],
+    }
+
+
+def test_argument_surface():
+    # argparse's formatted help differs across Python releases; what each
+    # subcommand was told about its arguments does not
+    surface = json.loads(json.dumps(_argument_surface(cli.build_parser())))
+    assert surface == json.loads((DATA / "arguments.json").read_text())

@@ -459,9 +459,10 @@ class TestArmKeying:
                 want = runs[seed].baseline if kind is None else runs[seed].arms[kind]
                 assert simulate_arm(params, kind, 200, seed) == want
 
-    @pytest.mark.parametrize("kind", ["direct_term", 0])
+    @pytest.mark.parametrize("kind", ["direct_term", 0, []])
     def test_bad_kind_rejected(self, kind):
-        # a kind's value or index names no arm
+        # a kind's value or index names no arm; an unhashable kind is no
+        # arm either, not a TypeError
         with pytest.raises(ValueError, match="kind must be an ArmKind or None"):
             simulate_arm(QuantumParams(1.0, 0.5), kind, 10, 0)
 
