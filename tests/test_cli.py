@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 from irboost import cli
 from irboost.cli import main
+from irboost.stream import _SEED_CHUNK
 from irboost.sweep import CSV_HEADER
 
 DATA = pathlib.Path(__file__).parent / "data" / "cli"
@@ -252,8 +254,12 @@ class TestGnuplotCommand:
 
 
 # expected bytes made by the CLI before its output path was rewritten; the
-# quantum sweep (np.cos) and Monte Carlo (NumPy variate algorithms) are left
-# out because their digits may change with the NumPy release
+# analytic quantum sweep (np.cos) is left out because its digits may change
+# with the NumPy build.  The Monte Carlo bytes hold on the NumPy release they
+# were written on (2.4.6): NEP 19 lets Generator.binomial and
+# negative_binomial streams change between releases (README)
+_MC = ["--mode", "montecarlo"]
+_MC_SWEEP = ["sweep", *_MC, "--n-points", "20", "--n-per-arm", "30", "--seed", "3"]
 PINNED = [
     ("classical.csv", ["classical", "0.5", "0.8", "0.2"]),
     ("classical.json", ["classical", "0.5", "0.8", "0.2", "--format", "json"]),
@@ -269,6 +275,36 @@ PINNED = [
     ("estimate.json", ["estimate", str(DATA / "counts.txt"), "--format", "json"]),
     ("gnuplot.txt", ["gnuplot", str(DATA / "sweep.csv")]),
     ("gnuplot-estimate.txt", ["gnuplot", str(DATA / "estimate.csv")]),
+    (
+        "simulate-classical.json",
+        ["simulate", "--model", "classical", "--params", "0.4,0.7,0.3", "--n-per-arm", "500",
+         "--seed", "7"],
+    ),
+    (
+        "simulate-quantum-starved.json",  # the relevance arm starves
+        ["simulate", "--model", "quantum", "--params", "3.1414,1.0", "--n-per-arm", "3",
+         "--seed", "11"],
+    ),
+    (
+        "mc-classical-starving.csv",  # P(R) in the margin, relevance arm starved
+        ["classical", "2e-7", "0.75", "0.25", *_MC, "--n-per-arm", "500", "--seed", "31"],
+    ),
+    (
+        "mc-quantum.json",
+        ["quantum", "1.0", "0.5", *_MC, "--n-per-arm", "500", "--seed", "3", "--format", "json"],
+    ),
+    # at margin 0.3 many points have one flag false and run only the arms
+    # the other flag reads
+    ("mc-sweep-classical.csv", [*_MC_SWEEP, "--model", "classical"]),
+    (
+        "mc-sweep-classical-margin.json",
+        [*_MC_SWEEP, "--model", "classical", "--exclusion-margin", "0.3", "--format", "json"],
+    ),
+    (
+        "mc-sweep-quantum-margin.csv",
+        [*_MC_SWEEP, "--model", "quantum", "--exclusion-margin", "0.3"],
+    ),
+    ("mc-sweep-quantum.json", [*_MC_SWEEP, "--model", "quantum", "--format", "json"]),
 ]
 
 
@@ -281,6 +317,16 @@ class TestPinnedOutput:
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected
+
+    def test_sweep_past_one_seed_hash_chunk(self, capsys):
+        # the point seeds are hashed in two chunks; pinned by digest, not as
+        # a file
+        argv = ["sweep", "--model", "quantum", *_MC, "--n-points", "1100", "--n-per-arm", "20",
+                "--seed", "7"]
+        assert _SEED_CHUNK < 1100
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "b256b6a680beafe885d9df779cc2224508dbcdb4523e6a00326b18045e1121bb"
 
     @pytest.mark.parametrize(
         "argv",
