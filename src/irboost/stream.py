@@ -36,11 +36,26 @@ same seed.  The 24 words are exactly
 ``numpy.random.SeedSequence(seed).generate_state(24, np.uint64)``; they are
 computed from that sequence's mixed pool with ``generate_state``'s output
 hash in one NumPy pass instead of NumPy's word-by-word loop, and the tests
-check the two agree on the installed NumPy.  A Monte Carlo sweep hashes its
-point seeds one chunk at a time instead (``_seed_words``): it mixes the
-pools of a whole chunk with ``SeedSequence``'s own rule and applies the
-same output hash, then keeps each point's words for the point's run.  The
-words, and so every run, are the same as a run of that seed alone.
+check the two agree on the installed NumPy.
+
+A Monte Carlo point (``_run_point``) is a run read at an exclusion margin:
+it runs only the arms its flags read, the three A is read from where A's
+flag is set and the expansion arm and the baseline where Delta's is, and
+returns (A, Delta) as two floats.  Each arm draws from its own substream,
+so the values are bit for bit the full run's ``accardi_est.estimate`` and
+``boost_est.estimate`` at the point's flags, and NaN where a flag is false
+or an estimate is None.
+
+A Monte Carlo sweep (``_run_points``) of n points at seed s takes its point
+seeds from one hash,
+``seeds = SeedSequence(s, spawn_key=(0,)).generate_state(n, np.uint64)``:
+the seed's first child, apart from the words ``default_rng(s)`` starts
+from.  Point i is the point of ``simulate_*(params_i, n_per_arm,
+seeds[i])`` at its flags; its seed does not depend on n.  The sweep hashes
+its point seeds into their run words one chunk at a time (``_seed_words``):
+it mixes the pools of a whole chunk with ``SeedSequence``'s own rule and
+applies the same output hash, so the words, and so every point, are those
+of a run of that seed alone.
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.random import PCG64
@@ -157,9 +172,9 @@ class SimResult:
     (acceptance probability effectively zero).  ``rates``, ``accardi_est``
     and ``boost_est`` are computed from the tallies when read; each is None
     whenever an arm it depends on starved or the quantity is undefined.
-    A Monte Carlo sweep point builds no SimResult: it runs only the arms its
-    flags read and takes the two estimates' values alone from those tallies
-    (``_point_estimates``), bit for bit the ones this class reads.
+    A Monte Carlo point builds no SimResult: ``_run_point`` runs only the
+    arms its flags read and takes the two estimates' values alone from
+    those tallies, bit for bit the ones this class reads.
     """
 
     config: SimConfig
@@ -343,8 +358,8 @@ def _seed_words(seeds: np.ndarray):
 
 # The last run's (model, seed, rates, words): every arm of a run goes
 # through simulate_arm, and the arms share one computation of the rates and
-# of the seed hash.  A sweep that has hashed its point seeds already keeps
-# each point's words here before the point runs.  The tuple is swapped
+# of the seed hash.  A sweep point whose seed is hashed already keeps its
+# words here before it runs (``_run_point``).  The tuple is swapped
 # whole, so threads never see a stale pair, and it is used only by a run of
 # the same model and seed, whose words are the same.  A miss always
 # allocates one tuple; an lru_cache(maxsize=1)'s dict gets a new key table
@@ -361,13 +376,6 @@ def _run_state(model: ModelParams, seed: int):
         rates, words = _arm_rates(model), _run_words(seed)
         _last_run = (model, seed, rates, words)
     return rates, words
-
-
-def _keep_run(model: ModelParams, seed: int, words: np.ndarray) -> None:
-    """Keep ``words``, which are ``_run_words(seed)``, and the model's arm
-    rates as the state of the next run of (model, seed)."""
-    global _last_run
-    _last_run = (model, seed, _arm_rates(model), words)
 
 
 def _arm_rng(words: np.ndarray, index: int) -> np.random.Generator:
@@ -426,8 +434,8 @@ def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds) -> dict:
     # stream.arm_us metric divides by that count, so a run that routes
     # around the call kills the traced benchmark with ZeroDivisionError.
     # Keep the call until the tracer hooks the arms elsewhere.  A full run
-    # takes all five arms; a Monte Carlo sweep point takes only those its
-    # flags read, so stream.arms_per_point reads under 5 on a sweep that
+    # takes all five arms; a Monte Carlo point (_run_point) takes only those
+    # its flags read, so stream.arms_per_point reads under 5 on a sweep that
     # holds a point inside the exclusion margin.
     arms = {}
     for kind in kinds:
@@ -438,19 +446,42 @@ def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds) -> dict:
     return arms
 
 
-def _point_estimates(
-    tallies: "Mapping[Optional[ArmKind], Optional[ArmTally]]",
+def _run_point(
+    model: ModelParams, n_per_arm: int, seed: int, margin: float, words=None
 ) -> "tuple[float, float]":
-    """(A, Delta) read from a run's tallies, keyed as ``_tallies`` keys
-    them: bit for bit ``SimResult.accardi_est.estimate`` and
-    ``boost_est.estimate``, through the same float rules on each tally's
-    rate without building the estimates.  An arm that is absent or starved
-    reads as NaN, and so does an estimate that reads it."""
+    """(A, Delta) of the Monte Carlo point of (model, n_per_arm, seed) at
+    the flags ``model.flags(margin)``, for checked arguments.  The point
+    runs only the arms its flags read and takes the values from their
+    tallies through the same float rules as ``SimResult.accardi_est`` and
+    ``boost_est``, without building the estimates: an arm that is not run
+    or starved reads as NaN, and so does an estimate that reads it.
+    ``words``, if given, are ``_run_words(seed)``, hashed already."""
+    global _last_run
+    accardi_ok, boost_ok = model.flags(margin)
+    kinds = (_ACCARDI_ARMS if accardi_ok else ()) + (_BOOST_ARMS if boost_ok else ())
+    if not kinds:
+        return math.nan, math.nan
+    if words is not None:
+        _last_run = (model, seed, _arm_rates(model), words)
+    tallies = _tallies(model, n_per_arm, seed, kinds)
     r, n, direct, expand, base = [
         math.nan if t is None else t.counts.n_success / t.counts.n_total
         for t in map(tallies.get, _ALL_ARMS)
     ]
     return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
+
+
+def _run_points(
+    models: "Sequence[ModelParams]", n_per_arm: int, seed: int, margin: float
+):
+    """(A, Delta) of each point of the Monte Carlo sweep at ``seed``, in
+    order: point i is ``_run_point(models[i], n_per_arm, seeds[i],
+    margin)`` with the point seeds of the module docstring, whose run words
+    are hashed one chunk at a time."""
+    root = np.random.SeedSequence(seed, spawn_key=(0,))
+    seeds = root.generate_state(len(models), np.uint64)
+    for model, point_seed, words in zip(models, seeds.tolist(), _seed_words(seeds)):
+        yield _run_point(model, n_per_arm, point_seed, margin, words)
 
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:

@@ -11,16 +11,11 @@ False rather than dropped, so a sweep stays an unbiased uniform sample and
 summary fractions remain interpretable.
 
 All parameter sampling happens up front from one seeded generator,
-``default_rng(seed)``.  Monte Carlo point i runs with the i-th 64-bit word
-of one hash, ``SeedSequence(seed, spawn_key=(0,))``: the seed's first child,
-apart from the words ``default_rng(seed)`` starts from.  A point's seed does
-not depend on ``n_points``, and results are deterministic and independent
-of evaluation order.  The sweep hashes its point seeds into their run words
-one chunk at a time (``stream._seed_words``) rather than once per point;
-the words are the seed's own.  A point runs only the arms its flags read
-(none where both are false); each arm draws from its own substream, so
-point i's values are still bit for bit those of
-``simulate_*(params_i, n_per_arm, seeds[i])`` at its flags.
+``default_rng(seed)``, and results are deterministic and independent of
+evaluation order.  ``irboost.stream`` owns the Monte Carlo point and the
+point seeds of a Monte Carlo sweep, and states their contract in its
+module docstring; this module puts each point's (A, Delta) in a
+``ScatterPoint``, with a flag set exactly where its value is not NaN.
 """
 
 from __future__ import annotations
@@ -50,17 +45,7 @@ from .probcore import (
     with_error,
 )
 from .quantum import QuantumParams
-from .stream import (
-    _ACCARDI_ARMS,
-    _BOOST_ARMS,
-    _check_int,
-    _keep_run,
-    _point_estimates,
-    _seed_words,
-    _tallies,
-    check_n_per_arm,
-    check_seed,
-)
+from .stream import _check_int, _run_point, _run_points, check_n_per_arm, check_seed
 
 # Unused here, but bench/tracing.py looks both up on this module by name
 # (its PATCHES list) and fails to install without them.
@@ -201,54 +186,27 @@ def _analytic_points(
     return [ScatterPoint(model, *row) for row in zip(params, *columns)]
 
 
-def _montecarlo_point(
-    params: ModelParams, n_per_arm: int, seed: int, m: float, words=None
-) -> ScatterPoint:
-    """One Monte Carlo point: ``a`` and ``delta`` are the run's
-    ``accardi_est.estimate`` and ``boost_est.estimate`` where the point's
-    flags allow them; NaN with a false flag where the margin, a starved arm
-    or the rule leaves a quantity undefined.  The point runs only the arms
-    its flags read: the three A is read from if A's flag is set, the
-    expansion arm and the baseline if Delta's is.  Each arm draws from its
-    own substream, so the values are bit for bit those of the full
-    ``simulate_*`` run.  ``words``, if given, are the seed's run words,
-    hashed already by the caller."""
-    accardi_ok, boost_ok = params.flags(m)
-    kinds = (_ACCARDI_ARMS if accardi_ok else ()) + (_BOOST_ARMS if boost_ok else ())
-    a = delta = math.nan
-    if kinds:
-        if words is not None:
-            _keep_run(params, seed, words)
-        a, delta = _point_estimates(_tallies(params, n_per_arm, seed, kinds))
+def _flagged(params: ModelParams, a: float, delta: float) -> ScatterPoint:
+    """A Monte Carlo point: each flag is set where its value is not NaN."""
     return ScatterPoint(
         params.name, params, a, delta, not math.isnan(a), not math.isnan(delta)
     )
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
-    a = np.array([pt.a for pt in points])
-    delta = np.array([pt.delta for pt in points])
-    a_ok = np.array([pt.accardi_defined for pt in points], dtype=bool)
-    b_ok = np.array([pt.boost_defined for pt in points], dtype=bool)
-
-    both = a_ok & b_ok
-    n_a = int(np.count_nonzero(a_ok))
-    below = int(np.count_nonzero(a_ok & (a < 0.0)))
-    above = int(np.count_nonzero(a_ok & (a > 1.0)))
-
-    def _max(mask):
-        return float(np.max(delta[mask])) if np.any(mask) else math.nan
-
-    classical_region = both & (a >= 0.0) & (a <= 1.0)
-    violation = both & ((a < 0.0) | (a > 1.0))
+    a_defined = [pt.a for pt in points if pt.accardi_defined]
+    both = [(pt.a, pt.delta) for pt in points if pt.accardi_defined and pt.boost_defined]
+    n_a = len(a_defined)
     return SweepSummary(
         n_points=len(points),
-        n_defined=int(np.count_nonzero(both)),
-        fraction_a_below_0=below / n_a if n_a else math.nan,
-        fraction_a_above_1=above / n_a if n_a else math.nan,
-        max_delta=_max(both),
-        max_delta_classical_region=_max(classical_region),
-        max_delta_violation=_max(violation),
+        n_defined=len(both),
+        fraction_a_below_0=sum(a < 0.0 for a in a_defined) / n_a if n_a else math.nan,
+        fraction_a_above_1=sum(a > 1.0 for a in a_defined) / n_a if n_a else math.nan,
+        max_delta=max((d for _, d in both), default=math.nan),
+        max_delta_classical_region=max(
+            (d for a, d in both if 0.0 <= a <= 1.0), default=math.nan
+        ),
+        max_delta_violation=max((d for a, d in both if a < 0.0 or a > 1.0), default=math.nan),
     )
 
 
@@ -261,12 +219,8 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
     if config.mode == "analytic":
         points = _analytic_points(config.model, mat, params, m)
     else:
-        root = np.random.SeedSequence(config.seed, spawn_key=(0,))
-        seeds = root.generate_state(config.n_points, np.uint64)
-        points = [
-            _montecarlo_point(pt, config.n_per_arm, seed, m, words)
-            for pt, seed, words in zip(params, seeds.tolist(), _seed_words(seeds))
-        ]
+        runs = _run_points(params, config.n_per_arm, config.seed, m)
+        points = [_flagged(pt, *values) for pt, values in zip(params, runs)]
     return points, summarize(points)
 
 
@@ -282,7 +236,7 @@ def eval_point(
     # a point flagged on both counts never simulates
     n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)
     if mode == "montecarlo":
-        return _montecarlo_point(params, n_per_arm, seed, m)
+        return _flagged(params, *_run_point(params, n_per_arm, seed, m))
 
     accardi_ok, boost_ok = params.flags(m)
     # looked up at call time, so wrappers on the model modules see each call

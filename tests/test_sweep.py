@@ -1,7 +1,10 @@
+import dataclasses
 import importlib
+import importlib.util
 import io
 import math
 import os
+import pathlib
 import re
 import sys
 import tempfile
@@ -32,6 +35,7 @@ from irboost.sweep import (
     CSV_HEADER,
     DEFAULT_EXCLUSION_MARGIN,
     ScatterPoint,
+    SweepSummary,
     parse_count_file,
     points_to_json_dict,
     write_csv,
@@ -55,6 +59,23 @@ def test_package_name_sweep_is_the_function():
     module = importlib.import_module("irboost.sweep")
     assert bound is irboost.sweep is sweep is module.sweep
     assert isinstance(module, types.ModuleType) and module is sys.modules["irboost.sweep"]
+
+
+def test_tracer_patch_targets_resolve():
+    # the benchmark's tracer (bench/tracing.py) replaces each (module,
+    # attribute) of its PATCHES list at install time; a renamed function,
+    # or a dropped import it looks up on a module, fails the traced run.
+    # Loaded by path and not installed
+    path = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("irboost_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (module, attr)
+        for module, attr, *_ in tracing.PATCHES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert tracing.PATCHES and missing == []
 
 
 class TestSweepAnalytic:
@@ -702,3 +723,69 @@ class TestSummary:
         summary = summarize([pt])
         assert summary.max_delta_classical_region == 0.4
         assert math.isnan(summary.max_delta_violation)
+
+    @staticmethod
+    def _numpy_summary(points):
+        """The summary by NumPy masks: the reference summarize must equal."""
+        a = np.array([pt.a for pt in points])
+        delta = np.array([pt.delta for pt in points])
+        a_ok = np.array([pt.accardi_defined for pt in points], dtype=bool)
+        b_ok = np.array([pt.boost_defined for pt in points], dtype=bool)
+        both = a_ok & b_ok
+        n_a = int(np.count_nonzero(a_ok))
+        below = int(np.count_nonzero(a_ok & (a < 0.0)))
+        above = int(np.count_nonzero(a_ok & (a > 1.0)))
+
+        def _max(mask):
+            return float(np.max(delta[mask])) if np.any(mask) else math.nan
+
+        return SweepSummary(
+            n_points=len(points),
+            n_defined=int(np.count_nonzero(both)),
+            fraction_a_below_0=below / n_a if n_a else math.nan,
+            fraction_a_above_1=above / n_a if n_a else math.nan,
+            max_delta=_max(both),
+            max_delta_classical_region=_max(both & (a >= 0.0) & (a <= 1.0)),
+            max_delta_violation=_max(both & ((a < 0.0) | (a > 1.0))),
+        )
+
+    @staticmethod
+    def _bits(summary):
+        # float.hex: the same bits, and NaN matches NaN
+        return [
+            (type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(summary)
+        ]
+
+    @pytest.mark.parametrize("margin", [DEFAULT_EXCLUSION_MARGIN, 0.3])
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_equals_the_numpy_formula(self, mode, model, margin):
+        n_points = 2_000 if mode == "analytic" else 300
+        points, summary = sweep(
+            SweepConfig(model, n_points, seed=13, mode=mode, n_per_arm=30,
+                        exclusion_margin=margin)
+        )
+        assert self._bits(summary) == self._bits(self._numpy_summary(points))
+
+        def both(pt):
+            return pt.accardi_defined and pt.boost_defined
+
+        def inside(pt):
+            return not pt.accardi_defined or 0.0 <= pt.a <= 1.0
+
+        subsets = {
+            "none defined on both counts": [pt for pt in points if not both(pt)],
+            "every A in [0, 1]": [pt for pt in points if inside(pt)],
+            "every A outside [0, 1]": [
+                pt for pt in points if not pt.accardi_defined or not inside(pt)
+            ],
+            "empty": [],
+        }
+        for name, subset in subsets.items():
+            got = self._bits(summarize(subset))
+            assert got == self._bits(self._numpy_summary(subset)), name
+        if model == "quantum":  # A lies on both sides of [0, 1]
+            assert subsets["none defined on both counts"]
+            assert any(map(both, subsets["every A in [0, 1]"]))
+            assert any(map(both, subsets["every A outside [0, 1]"]))
