@@ -194,19 +194,23 @@ def _flagged(params: ModelParams, a: float, delta: float) -> ScatterPoint:
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
+    # lists of references only: a (a, delta) tuple per point would cost
+    # more memory than the points' NumPy columns did
     a_defined = [pt.a for pt in points if pt.accardi_defined]
-    both = [(pt.a, pt.delta) for pt in points if pt.accardi_defined and pt.boost_defined]
+    both = [pt for pt in points if pt.accardi_defined and pt.boost_defined]
     n_a = len(a_defined)
     return SweepSummary(
         n_points=len(points),
         n_defined=len(both),
         fraction_a_below_0=sum(a < 0.0 for a in a_defined) / n_a if n_a else math.nan,
         fraction_a_above_1=sum(a > 1.0 for a in a_defined) / n_a if n_a else math.nan,
-        max_delta=max((d for _, d in both), default=math.nan),
+        max_delta=max((pt.delta for pt in both), default=math.nan),
         max_delta_classical_region=max(
-            (d for a, d in both if 0.0 <= a <= 1.0), default=math.nan
+            (pt.delta for pt in both if 0.0 <= pt.a <= 1.0), default=math.nan
         ),
-        max_delta_violation=max((d for a, d in both if a < 0.0 or a > 1.0), default=math.nan),
+        max_delta_violation=max(
+            (pt.delta for pt in both if pt.a < 0.0 or pt.a > 1.0), default=math.nan
+        ),
     )
 
 
