@@ -36,7 +36,10 @@ same seed.  The 24 words are exactly
 ``numpy.random.SeedSequence(seed).generate_state(24, np.uint64)``; they are
 computed from that sequence's mixed pool with ``generate_state``'s output
 hash in one NumPy pass instead of NumPy's word-by-word loop, and the tests
-check the two agree on the installed NumPy.
+check the two agree on the installed NumPy.  A run computes its arm rates
+and its seed words once and passes them to each arm; nothing is kept
+between calls, so runs on threads share no state.  ``simulate_arm`` called
+alone hashes its own seed.
 
 A Monte Carlo point (``_run_point``) is a run read at an exclusion margin:
 it runs only the arms its flags read, the three A is read from where A's
@@ -356,28 +359,6 @@ def _seed_words(seeds: np.ndarray):
         yield from _hash_words(_mixed_pools(seeds[start : start + _SEED_CHUNK]))
 
 
-# The last run's (model, seed, rates, words): every arm of a run goes
-# through simulate_arm, and the arms share one computation of the rates and
-# of the seed hash.  A sweep point whose seed is hashed already keeps its
-# words here before it runs (``_run_point``).  The tuple is swapped
-# whole, so threads never see a stale pair, and it is used only by a run of
-# the same model and seed, whose words are the same.  A miss always
-# allocates one tuple; an lru_cache(maxsize=1)'s dict gets a new key table
-# every few misses, so whether a run allocated one would depend on how many
-# runs came before it.
-_last_run = (None, None, None, None)
-
-
-def _run_state(model: ModelParams, seed: int):
-    """(``_arm_rates(model)``, ``_run_words(seed)``), kept for the last run."""
-    global _last_run
-    last_model, last_seed, rates, words = _last_run
-    if seed != last_seed or (model is not last_model and model != last_model):
-        rates, words = _arm_rates(model), _run_words(seed)
-        _last_run = (model, seed, rates, words)
-    return rates, words
-
-
 def _arm_rng(words: np.ndarray, index: int) -> np.random.Generator:
     start = 4 * (index + 1)
     return np.random.Generator(PCG64(_Words(words[start : start + 4])))
@@ -403,44 +384,53 @@ def _run_arm(
 
 
 def simulate_arm(
-    model: ModelParams, kind: Optional[ArmKind], n_per_arm: int, seed: int
+    model: ModelParams, kind: Optional[ArmKind], n_per_arm: int, seed: int, _run=None
 ) -> ArmTally:
     """Simulate one arm in isolation.  ``kind=None`` runs the baseline
     relevance tally.  Raises ArmStarvation on a dead arm.
 
     Uses the same (seed, arm) substream as the full simulation, so an
     arm simulated alone is bit-identical to the same arm inside
-    ``simulate_classical`` / ``simulate_quantum``.
+    ``simulate_classical`` / ``simulate_quantum``.  Called alone, it hashes
+    its own seed.  ``_run`` is for ``_tallies`` only: the run's
+    (``_arm_rates(model)``, ``_run_words(seed)``), whose ``n_per_arm`` and
+    seed the run has checked already.
     """
-    n_per_arm = check_n_per_arm(n_per_arm)
-    seed = check_seed(seed)
+    if _run is None:
+        n_per_arm = check_n_per_arm(n_per_arm)
+        seed = check_seed(seed)
     try:
         index, name = _ARM_ROWS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError("kind must be an ArmKind or None") from None
-    rates, words = _run_state(model, seed)
+    rates, words = _run or (_arm_rates(model), _run_words(seed))
     p_acc, q_acc = rates[index]
     return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)
 
 
-def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds) -> dict:
+def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds, words=None) -> dict:
     """The tally of each arm of ``kinds`` (ArmKinds, or None for the
-    baseline) in one run of (model, n_per_arm, seed), keyed by kind and in
-    the order given; None for an arm that starved.  Each arm draws from its
-    own substream, so an arm's tally does not depend on which others run."""
-    # Each arm goes through the module-level simulate_arm, looked up at call
-    # time, though the caller has checked its arguments already:
-    # bench/tracing.py counts one stream.simulate_arm span per arm, and the
-    # stream.arm_us metric divides by that count, so a run that routes
-    # around the call kills the traced benchmark with ZeroDivisionError.
-    # Keep the call until the tracer hooks the arms elsewhere.  A full run
-    # takes all five arms; a Monte Carlo point (_run_point) takes only those
-    # its flags read, so stream.arms_per_point reads under 5 on a sweep that
-    # holds a point inside the exclusion margin.
+    baseline) in one run of (model, n_per_arm, seed), for checked
+    arguments, keyed by kind and in the order given; None for an arm that
+    starved.  Each arm draws from its own substream, so an arm's tally does
+    not depend on which others run.  ``words``, if given, are
+    ``_run_words(seed)``, hashed already."""
+    # The run computes its arm rates and seed words once and hands them to
+    # each arm; nothing is kept after it returns, so runs on threads share
+    # no state.  Each arm goes through the module-level simulate_arm,
+    # looked up at call time: bench/tracing.py counts one
+    # stream.simulate_arm span per arm, and the stream.arm_us metric
+    # divides by that count, so a run that routes around the call kills the
+    # traced benchmark with ZeroDivisionError.  Keep the call until the
+    # tracer hooks the arms elsewhere.  A full run takes all five arms; a
+    # Monte Carlo point (_run_point) takes only those its flags read, so
+    # stream.arms_per_point reads under 5 on a sweep that holds a point
+    # inside the exclusion margin.
+    run = (_arm_rates(model), _run_words(seed) if words is None else words)
     arms = {}
     for kind in kinds:
         try:
-            arms[kind] = simulate_arm(model, kind, n_per_arm, seed)
+            arms[kind] = simulate_arm(model, kind, n_per_arm, seed, run)
         except ArmStarvation:
             arms[kind] = None
     return arms
@@ -455,15 +445,14 @@ def _run_point(
     tallies through the same float rules as ``SimResult.accardi_est`` and
     ``boost_est``, without building the estimates: an arm that is not run
     or starved reads as NaN, and so does an estimate that reads it.
-    ``words``, if given, are ``_run_words(seed)``, hashed already."""
-    global _last_run
+    ``words``, if given, are ``_run_words(seed)``, hashed already; they go
+    to ``_tallies`` with the point's arm rates, and nothing is kept after
+    the point returns."""
     accardi_ok, boost_ok = model.flags(margin)
     kinds = (_ACCARDI_ARMS if accardi_ok else ()) + (_BOOST_ARMS if boost_ok else ())
     if not kinds:
         return math.nan, math.nan
-    if words is not None:
-        _last_run = (model, seed, _arm_rates(model), words)
-    tallies = _tallies(model, n_per_arm, seed, kinds)
+    tallies = _tallies(model, n_per_arm, seed, kinds, words)
     r, n, direct, expand, base = [
         math.nan if t is None else t.counts.n_success / t.counts.n_total
         for t in map(tallies.get, _ALL_ARMS)

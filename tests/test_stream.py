@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,7 +40,6 @@ from irboost.stream import (
     BASELINE_NAME,
     _arm_rates,
     _arm_rng,
-    _run_state,
     _run_words,
     _seed_words,
 )
@@ -449,8 +447,8 @@ class TestNPerArmRule:
 
 class TestArmKeying:
     def test_isolated_arms_match_full_runs_interleaved(self):
-        # seeds interleaved and arms in reverse order: every lookup of the
-        # run's seed hash alternates between a cache miss and a hit
+        # seeds interleaved and arms in reverse order: an arm called alone
+        # hashes its own seed, whatever run or arm came before it
         params = ClassicalParams(0.4, 0.7, 0.3)
         seeds = (3, 2**64 - 1, 3, 0)
         runs = {seed: simulate_classical(params, 200, seed) for seed in seeds}
@@ -518,37 +516,11 @@ class TestArmKeying:
             want = PCG64(Given(words[4 * (i + 1) : 4 * (i + 1) + 4])).state
             assert _arm_rng(_run_words(seed), i).bit_generator.state == want
 
-    @pytest.mark.parametrize(
-        "models, seeds",
-        [
-            # seed misses with a fixed model: a new seed hash each time
-            ([ClassicalParams(0.4, 0.7, 0.3)] * 12, [10**6 + i for i in range(12)]),
-            # model misses with a fixed seed: new arm rates each time
-            ([ClassicalParams(0.3 + 0.01 * i, 0.7, 0.3) for i in range(12)], [7] * 12),
-        ],
-        ids=["run_words", "arm_rates"],
-    )
-    def test_memo_miss_keeps_the_same_every_time(self, models, seeds):
-        # a run's memory peak must not depend on how many runs came before
-        # it; an lru_cache keeps a new key table every fifth miss
-        _run_state(models[0], seeds[0])
-        kept = []
-        for model, seed in zip(models[1:], seeds[1:]):
-            tracemalloc.start()
-            try:
-                rates, words = _run_state(model, seed)
-                kept.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
-            assert rates == _arm_rates(model)
-            assert np.array_equal(words, _run_words(seed))
-        assert len(set(kept[1:])) == 1, kept
-
     def test_threads_match_sequential(self):
-        # runs on three threads share the kept seed hash and arm rates; a
-        # short switch interval makes their arms interleave.  One thread
-        # runs a Monte Carlo sweep, which keeps each point's words from its
-        # batch hash as the state of the point's run, while the others run
+        # runs on three threads, each handing its own seed words and arm
+        # rates to its arms; a short switch interval makes their arms
+        # interleave.  One thread runs a Monte Carlo sweep, whose points
+        # take their words from its batch hash, while the others run
         # simulate_quantum at 400 seeds of one point and on the sweep's own
         # points, at the point's seed and at the previous point's seed.
         # Each run must use only its own state.  The sweep crosses a hash
@@ -582,9 +554,9 @@ class TestArmKeying:
 
     def test_threads_alternating_models_match_sequential(self):
         # a classical and a quantum run on the same seed, on two threads:
-        # the kept run state must be keyed by the model as well as the seed.
-        # The reference runs each model's seeds in turn, so no two runs in a
-        # row share a seed
+        # each run's arms must read its own model's rates, never the other
+        # run's.  The reference runs each model's seeds in turn, so no two
+        # runs in a row share a seed
         models = [
             (simulate_classical, ClassicalParams(0.4, 0.7, 0.3)),
             (simulate_quantum, QuantumParams(1.1, 0.6)),
@@ -607,10 +579,10 @@ class TestArmKeying:
 
 class TestArmCalls:
     # each run calls the module-level stream.simulate_arm once per arm it
-    # runs, in substream order, with n_per_arm third: the benchmark's tracer
-    # counts those calls, and its stream.arm_us divides by the count.  A full
-    # run runs all five arms; a Monte Carlo point runs only the arms its
-    # flags read
+    # runs, in substream order, with n_per_arm third and the run's arm rates
+    # and seed words fifth: the benchmark's tracer counts those calls, and
+    # its stream.arm_us divides by the count.  A full run runs all five
+    # arms; a Monte Carlo point runs only the arms its flags read
     KINDS = [kind for kind, _, _ in _ARMS]
 
     @staticmethod
@@ -637,14 +609,38 @@ class TestArmCalls:
 
     def _assert_runs(self, calls, n_per_arm, runs):
         """``calls`` are those of the runs in turn: the ``i``-th run calls
-        the arms ``runs[i]``, in that order, all on one seed."""
+        the arms ``runs[i]``, in that order, all on one seed and with one
+        state object, which the run before it does not share."""
         assert [args[1] for args, _ in calls] == [kind for kinds in runs for kind in kinds]
         for args, kwargs in calls:
-            assert kwargs == {} and len(args) == 4 and args[2] == n_per_arm
-        start = 0
+            assert kwargs == {} and len(args) == 5 and args[2] == n_per_arm
+        start, states = 0, []
         for kinds in runs:
-            assert len({args[3] for args, _ in calls[start : start + len(kinds)]}) <= 1
+            run_calls = [args for args, _ in calls[start : start + len(kinds)]]
             start += len(kinds)
+            if run_calls:
+                assert len({args[3] for args in run_calls}) == 1
+                assert all(args[4] is run_calls[0][4] for args in run_calls)
+                states.append(run_calls[0][4])
+        # the recorded calls keep every state alive, so no two share an id
+        assert all(a is not b for a, b in zip(states, states[1:]))
+
+    def test_one_state_per_run(self, monkeypatch):
+        # two runs of one config in a row: each hands its arms a state of
+        # its own, and an arm called alone, with four arguments, computes
+        # the same state and returns the same tally as inside its run
+        params = ClassicalParams(0.4, 0.7, 0.3)
+        runs, calls = self._recorded(
+            monkeypatch, lambda: [simulate_classical(params, 200, 3) for _ in range(2)]
+        )
+        self._assert_runs(calls, 200, [self.KINDS] * 2)
+        for res, run_calls in zip(runs, (calls[:5], calls[5:])):
+            for args, _ in run_calls:
+                rates, words = args[4]
+                assert rates == _arm_rates(params)
+                assert np.array_equal(words, _run_words(3))
+                want = res.baseline if args[1] is None else res.arms[args[1]]
+                assert simulate_arm(*args[:4]) == want
 
     @pytest.mark.parametrize(
         "model, margin",

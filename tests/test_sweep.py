@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import io
@@ -690,6 +691,39 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert retained < 8 * len(points)
+
+    def test_monte_carlo_calls_keep_nothing(self):
+        # a run hands its arm rates and seed words to its arms, so nothing a
+        # simulate_* run, a sweep or a Monte Carlo point computed stays
+        # alive once its result is dropped.  One point's words from a sweep
+        # would keep that sweep's whole seed-hash chunk
+        def calls(seed):
+            params = QuantumParams(1.0, 0.5)
+            config = SweepConfig("quantum", 1024, seed, mode="montecarlo", n_per_arm=20)
+            return {
+                "simulate_quantum": lambda: simulate_quantum(params, 500, seed),
+                "sweep": lambda: sweep(config),
+                "eval_point": lambda: eval_point(params, "montecarlo", 500, seed),
+            }
+
+        # warm up on another seed, so that no measured call repeats the run
+        # before it
+        for call in calls(8).values():
+            call()
+        retained = {}
+        for name, call in calls(7).items():
+            tracemalloc.start()
+            try:
+                # a full collection empties CPython's free lists, which would
+                # otherwise hold float and tuple blocks the call allocated
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                gc.collect()
+                retained[name] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert max(retained.values()) < 512, retained
 
     def test_gnuplot_two_columns(self, tmp_path):
         import io
