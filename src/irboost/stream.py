@@ -44,10 +44,13 @@ alone hashes its own seed.
 A Monte Carlo point (``_run_point``) is a run read at an exclusion margin:
 it runs only the arms its flags read, the three A is read from where A's
 flag is set and the expansion arm and the baseline where Delta's is, and
-returns (A, Delta) as two floats.  Each arm draws from its own substream,
-so the values are bit for bit the full run's ``accardi_est.estimate`` and
-``boost_est.estimate`` at the point's flags, and NaN where a flag is false
-or an estimate is None.
+returns (A, Delta) as two floats.  It runs a flag's arms in substream
+order and stops at the first that starves, since the value that flag reads
+is then NaN whatever the rest draw; near P(R) = 0 the relevance arm
+starves and the point runs one arm.  Each arm draws from its own
+substream, so the values are bit for bit the full run's
+``accardi_est.estimate`` and ``boost_est.estimate`` at the point's flags,
+and NaN where a flag is false or an estimate is None.
 
 A Monte Carlo sweep (``_run_points``) of n points at seed s takes its point
 seeds from one hash,
@@ -176,8 +179,9 @@ class SimResult:
     and ``boost_est`` are computed from the tallies when read; each is None
     whenever an arm it depends on starved or the quantity is undefined.
     A Monte Carlo point builds no SimResult: ``_run_point`` runs only the
-    arms its flags read and takes the two estimates' values alone from
-    those tallies, bit for bit the ones this class reads.
+    arms its flags read, up to a flag's first starved arm, and takes the
+    two estimates' values alone from those tallies, bit for bit the ones
+    this class reads.
     """
 
     config: SimConfig
@@ -244,11 +248,13 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-def _arm_rates(model: ModelParams) -> "tuple[tuple[float, float], ...]":
-    """(p_acc, q_acc) of every arm, indexed by substream index: the chance
-    that a raw draw is accepted and that an accepted document is a success."""
+def _arm_rates(model: ModelParams) -> "tuple[float, ...]":
+    """p_acc and q_acc of every arm, flat in substream order: substream i's
+    at 2i and 2i + 1.  They are the chance that a raw draw is accepted and
+    that an accepted document is a success.  Flat, so a run builds one
+    tuple rather than six."""
     p_r, p_x_r, p_x_n, p_x, p_r_x = model.stream_rates()
-    return ((p_r, p_x_r), (1.0 - p_r, p_x_n), (1.0, p_x), (p_x, p_r_x), (1.0, p_r))
+    return (p_r, p_x_r, 1.0 - p_r, p_x_n, 1.0, p_x, p_x, p_r_x, 1.0, p_r)
 
 
 class _Words(ISeedSequence):
@@ -392,9 +398,9 @@ def simulate_arm(
     Uses the same (seed, arm) substream as the full simulation, so an
     arm simulated alone is bit-identical to the same arm inside
     ``simulate_classical`` / ``simulate_quantum``.  Called alone, it hashes
-    its own seed.  ``_run`` is for ``_tallies`` only: the run's
-    (``_arm_rates(model)``, ``_run_words(seed)``), whose ``n_per_arm`` and
-    seed the run has checked already.
+    its own seed.  ``_run`` is for ``_tallies`` and ``_run_point`` only:
+    the run's (``_arm_rates(model)``, ``_run_words(seed)``), whose
+    ``n_per_arm`` and seed the run has checked already.
     """
     if _run is None:
         n_per_arm = check_n_per_arm(n_per_arm)
@@ -404,17 +410,14 @@ def simulate_arm(
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError("kind must be an ArmKind or None") from None
     rates, words = _run or (_arm_rates(model), _run_words(seed))
-    p_acc, q_acc = rates[index]
+    p_acc, q_acc = rates[2 * index], rates[2 * index + 1]
     return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)
 
 
-def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds, words=None) -> dict:
-    """The tally of each arm of ``kinds`` (ArmKinds, or None for the
-    baseline) in one run of (model, n_per_arm, seed), for checked
-    arguments, keyed by kind and in the order given; None for an arm that
-    starved.  Each arm draws from its own substream, so an arm's tally does
-    not depend on which others run.  ``words``, if given, are
-    ``_run_words(seed)``, hashed already."""
+def _tallies(model: ModelParams, n_per_arm: int, seed: int) -> dict:
+    """The tally of each of the five arms of one run of (model, n_per_arm,
+    seed), for checked arguments, keyed by kind in substream order; None
+    for an arm that starved."""
     # The run computes its arm rates and seed words once and hands them to
     # each arm; nothing is kept after it returns, so runs on threads share
     # no state.  Each arm goes through the module-level simulate_arm,
@@ -422,13 +425,14 @@ def _tallies(model: ModelParams, n_per_arm: int, seed: int, kinds, words=None) -
     # stream.simulate_arm span per arm, and the stream.arm_us metric
     # divides by that count, so a run that routes around the call kills the
     # traced benchmark with ZeroDivisionError.  Keep the call until the
-    # tracer hooks the arms elsewhere.  A full run takes all five arms; a
-    # Monte Carlo point (_run_point) takes only those its flags read, so
+    # tracer hooks the arms elsewhere.  A full run takes all five arms, since
+    # its JSON prints every tally; a Monte Carlo point (_run_point) takes
+    # only those its flags read, up to the first that starves, so
     # stream.arms_per_point reads under 5 on a sweep that holds a point
-    # inside the exclusion margin.
-    run = (_arm_rates(model), _run_words(seed) if words is None else words)
+    # inside the exclusion margin or a point with a starved arm.
+    run = (_arm_rates(model), _run_words(seed))
     arms = {}
-    for kind in kinds:
+    for kind in _ALL_ARMS:
         try:
             arms[kind] = simulate_arm(model, kind, n_per_arm, seed, run)
         except ArmStarvation:
@@ -441,22 +445,30 @@ def _run_point(
 ) -> "tuple[float, float]":
     """(A, Delta) of the Monte Carlo point of (model, n_per_arm, seed) at
     the flags ``model.flags(margin)``, for checked arguments.  The point
-    runs only the arms its flags read and takes the values from their
+    runs the arms of each flag that is set, in substream order, and stops
+    that flag's arms at the first one that starves: the value the flag
+    reads is NaN whatever the others draw.  It takes the values from the
     tallies through the same float rules as ``SimResult.accardi_est`` and
     ``boost_est``, without building the estimates: an arm that is not run
     or starved reads as NaN, and so does an estimate that reads it.
-    ``words``, if given, are ``_run_words(seed)``, hashed already; they go
-    to ``_tallies`` with the point's arm rates, and nothing is kept after
-    the point returns."""
-    accardi_ok, boost_ok = model.flags(margin)
-    kinds = (_ACCARDI_ARMS if accardi_ok else ()) + (_BOOST_ARMS if boost_ok else ())
-    if not kinds:
-        return math.nan, math.nan
-    tallies = _tallies(model, n_per_arm, seed, kinds, words)
-    r, n, direct, expand, base = [
-        math.nan if t is None else t.counts.n_success / t.counts.n_total
-        for t in map(tallies.get, _ALL_ARMS)
+    ``words``, if given, are ``_run_words(seed)``, hashed already; each arm
+    gets them with the point's arm rates, as in ``_tallies``, and nothing
+    is kept after the point returns."""
+    flag_arms = [
+        kinds for ok, kinds in zip(model.flags(margin), (_ACCARDI_ARMS, _BOOST_ARMS)) if ok
     ]
+    if not flag_arms:
+        return math.nan, math.nan
+    run = (_arm_rates(model), _run_words(seed) if words is None else words)
+    rates = {}
+    for kinds in flag_arms:
+        for kind in kinds:
+            try:
+                counts = simulate_arm(model, kind, n_per_arm, seed, run).counts
+            except ArmStarvation:
+                break
+            rates[kind] = counts.n_success / counts.n_total
+    r, n, direct, expand, base = [rates.get(kind, math.nan) for kind in _ALL_ARMS]
     return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
 
 
@@ -475,7 +487,7 @@ def _run_points(
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-    arms = _tallies(model, config.n_per_arm, config.seed, _ALL_ARMS)
+    arms = _tallies(model, config.n_per_arm, config.seed)
     baseline = arms.pop(None)
     return SimResult(config, arms, baseline)
 

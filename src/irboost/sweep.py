@@ -235,7 +235,14 @@ def eval_point(
     seed: int = 0,
     exclusion_margin: float = DEFAULT_EXCLUSION_MARGIN,
 ) -> ScatterPoint:
-    """Evaluate one parameter point; semantics of a sweep of size 1."""
+    """Evaluate one parameter point, flagged as a sweep flags its points.
+
+    A Monte Carlo point is the point of ``simulate_*(params, n_per_arm,
+    seed)`` at ``seed`` itself, not at the point seed a sweep derives from
+    its seed: a 1-point Monte Carlo sweep at seed s gives the point of
+    ``eval_point`` at ``SeedSequence(s, spawn_key=(0,)).generate_state(1,
+    np.uint64)[0]``.
+    """
     # both modes check up front, though an analytic point draws nothing and
     # a point flagged on both counts never simulates
     n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)

@@ -293,6 +293,14 @@ PINNED = [
         "mc-quantum.json",
         ["quantum", "1.0", "0.5", *_MC, "--n-per-arm", "500", "--seed", "3", "--format", "json"],
     ),
+    (
+        "mc-classical-starving-non-relevant.csv",  # P(~R) = 0: A reads NaN, Delta prints
+        ["classical", "1", "0.6", "0.4", *_MC, "--n-per-arm", "500", "--seed", "3"],
+    ),
+    (
+        "mc-quantum-starving-two-arms.json",  # the ~R and expansion arms starve
+        ["quantum", "0", "3.1414", *_MC, "--n-per-arm", "500", "--seed", "3", "--format", "json"],
+    ),
     # at margin 0.3 many points have one flag false and run only the arms
     # the other flag reads
     ("mc-sweep-classical.csv", [*_MC_SWEEP, "--model", "classical"]),
@@ -327,6 +335,15 @@ class TestPinnedOutput:
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "b256b6a680beafe885d9df779cc2224508dbcdb4523e6a00326b18045e1121bb"
+
+    def test_sweep_with_starving_points(self, capsys):
+        # at n_per_arm 5 some points starve an arm and skip the rest of
+        # that flag's arms; pinned by digest, not as a file
+        argv = ["sweep", "--model", "quantum", *_MC, "--n-points", "3000", "--n-per-arm", "5",
+                "--seed", "11"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "78d7ff8a4dc4e8945d4e32a09930352da76c89b4afaa4fb15956f51eb4ccfdfc"
 
     @pytest.mark.parametrize(
         "argv",

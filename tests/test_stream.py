@@ -42,6 +42,7 @@ from irboost.stream import (
     _arm_rng,
     _run_words,
     _seed_words,
+    _simulate,
 )
 
 _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -582,7 +583,8 @@ class TestArmCalls:
     # runs, in substream order, with n_per_arm third and the run's arm rates
     # and seed words fifth: the benchmark's tracer counts those calls, and
     # its stream.arm_us divides by the count.  A full run runs all five
-    # arms; a Monte Carlo point runs only the arms its flags read
+    # arms; a Monte Carlo point runs only the arms its flags read, and each
+    # flag's arms only up to the first that starves
     KINDS = [kind for kind, _, _ in _ARMS]
 
     @staticmethod
@@ -603,9 +605,19 @@ class TestArmCalls:
         assert got == want
         return got, calls
 
-    def _point_kinds(self, accardi_ok, boost_ok):
-        """The arms a Monte Carlo point with these flags runs, in order."""
-        return (self.KINDS[:3] if accardi_ok else []) + (self.KINDS[3:] if boost_ok else [])
+    def _point_kinds(self, params, n_per_arm, seed, margin):
+        """The arms the Monte Carlo point of (params, n_per_arm, seed) runs
+        at ``margin``, in order: the arms of each flag that is set, up to
+        the first that starves in the full run of that seed."""
+        res = _simulate(params, n_per_arm, seed)
+        tallies = {**res.arms, None: res.baseline}
+        kinds = []
+        for ok, arms in zip(params.flags(margin), (self.KINDS[:3], self.KINDS[3:])):
+            for kind in arms if ok else ():
+                kinds.append(kind)
+                if tallies[kind] is None:
+                    break
+        return kinds
 
     def _assert_runs(self, calls, n_per_arm, runs):
         """``calls`` are those of the runs in turn: the ``i``-th run calls
@@ -655,8 +667,9 @@ class TestArmCalls:
         )
         (points, _), calls = self._recorded(monkeypatch, lambda: sweep(config))
         flags = [pt.params.flags(margin) for pt in points]
-        assert len(calls) == sum(3 * a_ok + 2 * b_ok for a_ok, b_ok in flags)
-        self._assert_runs(calls, 40, [self._point_kinds(*f) for f in flags])
+        seeds = np.random.SeedSequence(5, spawn_key=(0,)).generate_state(12, np.uint64)
+        runs = [self._point_kinds(pt.params, 40, s, margin) for pt, s in zip(points, seeds.tolist())]
+        self._assert_runs(calls, 40, runs)
         if margin == 0.3:  # points with one flag false are among them
             assert {(True, False), (False, True)} & set(flags)
         else:
@@ -678,11 +691,42 @@ class TestArmCalls:
             monkeypatch, lambda: eval_point(params, "montecarlo", 40, 5)
         )
         assert params.flags(1e-6) == flags
-        if flags[0]:
-            want = [ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM]
+        if flags[0]:  # P(R) is tiny in both, so the relevance arm starves
+            want = [ArmKind.COND_ON_RELEVANT]
         else:
             want = [ArmKind.EXPAND_THEN_RELEVANCE, None]
         self._assert_runs(calls, 40, [want])
+
+    @pytest.mark.parametrize(
+        "params, want",
+        [
+            # P(~R) = 0: the ~R arm starves, and the direct term arm is skipped
+            (ClassicalParams(1.0, 0.6, 0.4), ["R", "~R", "expansion", "baseline"]),
+            # P(~R) and P(X) ~ 0: the ~R arm starves, then the expansion arm
+            (QuantumParams(0.0, math.pi - 2e-4), ["R", "~R", "expansion"]),
+            # P(R) ~ 0 and Delta flagged off: one arm
+            (QuantumParams(math.pi - 1e-3, 0.8), ["R"]),
+            # q_r, q_n tied and P(X) ~ 0: the baseline is skipped
+            (ClassicalParams(0.5, 2e-7, 0.0), ["expansion"]),
+        ],
+    )
+    def test_point_stops_a_flag_at_its_first_starved_arm(self, params, want, monkeypatch):
+        names = dict(zip(["R", "~R", "direct", "expansion", "baseline"], self.KINDS))
+        want = [names[name] for name in want]
+        pt, calls = self._recorded(
+            monkeypatch, lambda: eval_point(params, "montecarlo", 40, 5)
+        )
+        self._assert_runs(calls, 40, [want])
+        assert self._point_kinds(params, 40, 5, 1e-6) == want
+        # the values are the full run's at the point's flags: a flag cut
+        # short reads NaN, as its estimate there is None
+        res = _simulate(params, 40, 5)
+        estimates = (res.accardi_est, res.boost_est)
+        for ok, got, est in zip(params.flags(1e-6), (pt.a, pt.delta), estimates):
+            if ok and est is not None:
+                assert got == est.estimate
+            else:
+                assert math.isnan(got)
 
     def test_run_with_a_starved_arm(self, monkeypatch):
         params = QuantumParams(math.pi - 2e-4, 1.0)
