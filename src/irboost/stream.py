@@ -41,16 +41,18 @@ and its seed words once and passes them to each arm; nothing is kept
 between calls, so runs on threads share no state.  ``simulate_arm`` called
 alone hashes its own seed.
 
-A Monte Carlo point (``_run_point``) is a run read at an exclusion margin:
-it runs only the arms its flags read, the three A is read from where A's
-flag is set and the expansion arm and the baseline where Delta's is, and
-returns (A, Delta) as two floats.  It runs a flag's arms in substream
-order and stops at the first that starves, since the value that flag reads
-is then NaN whatever the rest draw; near P(R) = 0 the relevance arm
-starves and the point runs one arm.  Each arm draws from its own
-substream, so the values are bit for bit the full run's
-``accardi_est.estimate`` and ``boost_est.estimate`` at the point's flags,
-and NaN where a flag is false or an estimate is None.
+Every run draws its arms through one loop (``_tallies``): the arms come
+in groups of substream indices, drawn in order, and a group stops at its
+first starved arm.  A full run (``simulate_*``) is five one-arm groups, so
+it draws every arm.  A Monte Carlo point (``_run_point``) is a run read at
+an exclusion margin: its groups are those of the flags that are set, the
+three arms A is read from (0-2) and the expansion arm and the baseline
+(3, 4) that Delta is, and it returns (A, Delta) as two floats.  A flag
+reads NaN once one of its arms starves, whatever the rest draw; near
+P(R) = 0 the relevance arm starves and the point draws one arm.  Each arm
+draws from its own substream, so the values are bit for bit the full
+run's ``accardi_est.estimate`` and ``boost_est.estimate`` at the point's
+flags, and NaN where a flag is false or an estimate is None.
 
 A Monte Carlo sweep (``_run_points``) of n points at seed s takes its point
 seeds from one hash,
@@ -121,12 +123,15 @@ _ARMS = (
 _ALL_ARMS = tuple(kind for kind, _, _ in _ARMS)
 # each arm's kind: (its substream index, its tally name)
 _ARM_ROWS = {kind: (index, name) for kind, index, name in _ARMS}
-# the arms whose rates the Accardi invariant takes, in RateTriple order
-_ACCARDI_ARMS = (
-    ArmKind.COND_ON_RELEVANT, ArmKind.COND_ON_NON_RELEVANT, ArmKind.DIRECT_TERM
-)
-# the arms whose rates the boost takes, posterior then prior
-_BOOST_ARMS = (ArmKind.EXPAND_THEN_RELEVANCE, None)
+# arm groups of substream indices (see _tallies): A's, in RateTriple order
+_ACCARDI_ARMS = (0, 1, 2)
+# the boost's arms, posterior (the expansion arm) then prior (the baseline)
+_BOOST_ARMS = (3, 4)
+# a full run: each arm a group of its own, so a starved arm skips no other
+_EACH_ARM = tuple((index,) for index in range(len(_ARMS)))
+# the filtered arms' kinds, which key SimResult.arms: a dict display of them
+# costs a run ~0.4 us less than dict(zip(...)), as Enum.__hash__ is Python
+_R_ARM, _NR_ARM, _DIRECT_ARM, _EXPAND_ARM = _ALL_ARMS[:4]
 
 
 def _check_int(value, low: int, high: float, message: str) -> int:
@@ -178,10 +183,9 @@ class SimResult:
     (acceptance probability effectively zero).  ``rates``, ``accardi_est``
     and ``boost_est`` are computed from the tallies when read; each is None
     whenever an arm it depends on starved or the quantity is undefined.
-    A Monte Carlo point builds no SimResult: ``_run_point`` runs only the
-    arms its flags read, up to a flag's first starved arm, and takes the
-    two estimates' values alone from those tallies, bit for bit the ones
-    this class reads.
+    A Monte Carlo point builds no SimResult: ``_run_point`` takes the two
+    estimates' values alone from the tallies it draws, bit for bit the
+    ones this class reads.
     """
 
     config: SimConfig
@@ -190,7 +194,7 @@ class SimResult:
 
     def _accardi_counts(self) -> "Optional[list[ArmCounts]]":
         """Counts of the three arms A is read from, or None if one starved."""
-        tallies = [self.arms[kind] for kind in _ACCARDI_ARMS]
+        tallies = [self.arms[_ALL_ARMS[index]] for index in _ACCARDI_ARMS]
         return None if None in tallies else [t.counts for t in tallies]
 
     @property
@@ -398,9 +402,9 @@ def simulate_arm(
     Uses the same (seed, arm) substream as the full simulation, so an
     arm simulated alone is bit-identical to the same arm inside
     ``simulate_classical`` / ``simulate_quantum``.  Called alone, it hashes
-    its own seed.  ``_run`` is for ``_tallies`` and ``_run_point`` only:
-    the run's (``_arm_rates(model)``, ``_run_words(seed)``), whose
-    ``n_per_arm`` and seed the run has checked already.
+    its own seed.  ``_run`` is for ``_tallies`` only: the run's
+    (``_arm_rates(model)``, ``_run_words(seed)``), whose ``n_per_arm`` and
+    seed the run has checked already.
     """
     if _run is None:
         n_per_arm = check_n_per_arm(n_per_arm)
@@ -414,30 +418,32 @@ def simulate_arm(
     return _run_arm(_arm_rng(words, index), p_acc, q_acc, n_per_arm, name)
 
 
-def _tallies(model: ModelParams, n_per_arm: int, seed: int) -> dict:
-    """The tally of each of the five arms of one run of (model, n_per_arm,
-    seed), for checked arguments, keyed by kind in substream order; None
-    for an arm that starved."""
-    # The run computes its arm rates and seed words once and hands them to
-    # each arm; nothing is kept after it returns, so runs on threads share
-    # no state.  Each arm goes through the module-level simulate_arm,
+def _tallies(
+    model: ModelParams, n_per_arm: int, seed: int, groups, words=None
+) -> list:
+    """The five tallies of one run of (model, n_per_arm, seed), for checked
+    arguments, in substream order: the arms of each group of substream
+    indices in ``groups`` are drawn in turn, and a group stops at its first
+    starved arm.  None for an arm that starved or was not drawn.
+    ``words``, if given, are ``_run_words(seed)``, hashed already."""
+    # The one arm loop of every run (module docstring): a point draws only
+    # its set flags' groups, so stream.arms_per_point reads under 5 on a
+    # sweep that holds a point inside the exclusion margin or a point with
+    # a starved arm.  Each arm goes through the module-level simulate_arm,
     # looked up at call time: bench/tracing.py counts one
-    # stream.simulate_arm span per arm, and the stream.arm_us metric
-    # divides by that count, so a run that routes around the call kills the
-    # traced benchmark with ZeroDivisionError.  Keep the call until the
-    # tracer hooks the arms elsewhere.  A full run takes all five arms, since
-    # its JSON prints every tally; a Monte Carlo point (_run_point) takes
-    # only those its flags read, up to the first that starves, so
-    # stream.arms_per_point reads under 5 on a sweep that holds a point
-    # inside the exclusion margin or a point with a starved arm.
-    run = (_arm_rates(model), _run_words(seed))
-    arms = {}
-    for kind in _ALL_ARMS:
-        try:
-            arms[kind] = simulate_arm(model, kind, n_per_arm, seed, run)
-        except ArmStarvation:
-            arms[kind] = None
-    return arms
+    # stream.simulate_arm span per arm, and its stream.arm_us divides by
+    # that count, so a run that routes around the call kills the traced
+    # benchmark with ZeroDivisionError.  Keep the call until the tracer
+    # hooks the arms elsewhere.
+    run = (_arm_rates(model), _run_words(seed) if words is None else words)
+    tallies = [None] * len(_ALL_ARMS)
+    for group in groups:
+        for index in group:
+            try:
+                tallies[index] = simulate_arm(model, _ALL_ARMS[index], n_per_arm, seed, run)
+            except ArmStarvation:
+                break
+    return tallies
 
 
 def _run_point(
@@ -445,30 +451,21 @@ def _run_point(
 ) -> "tuple[float, float]":
     """(A, Delta) of the Monte Carlo point of (model, n_per_arm, seed) at
     the flags ``model.flags(margin)``, for checked arguments.  The point
-    runs the arms of each flag that is set, in substream order, and stops
-    that flag's arms at the first one that starves: the value the flag
-    reads is NaN whatever the others draw.  It takes the values from the
-    tallies through the same float rules as ``SimResult.accardi_est`` and
-    ``boost_est``, without building the estimates: an arm that is not run
-    or starved reads as NaN, and so does an estimate that reads it.
-    ``words``, if given, are ``_run_words(seed)``, hashed already; each arm
-    gets them with the point's arm rates, as in ``_tallies``, and nothing
-    is kept after the point returns."""
-    flag_arms = [
-        kinds for ok, kinds in zip(model.flags(margin), (_ACCARDI_ARMS, _BOOST_ARMS)) if ok
+    draws the arm group of each flag that is set (``_tallies``), and takes
+    the values from the tallies through the same float rules as
+    ``SimResult.accardi_est`` and ``boost_est``, without building the
+    estimates: an arm that is not drawn or starved reads as NaN, and so
+    does an estimate that reads it.  ``words``, if given, are
+    ``_run_words(seed)``, hashed already."""
+    groups = [
+        arms for ok, arms in zip(model.flags(margin), (_ACCARDI_ARMS, _BOOST_ARMS)) if ok
     ]
-    if not flag_arms:
+    if not groups:
         return math.nan, math.nan
-    run = (_arm_rates(model), _run_words(seed) if words is None else words)
-    rates = {}
-    for kinds in flag_arms:
-        for kind in kinds:
-            try:
-                counts = simulate_arm(model, kind, n_per_arm, seed, run).counts
-            except ArmStarvation:
-                break
-            rates[kind] = counts.n_success / counts.n_total
-    r, n, direct, expand, base = [rates.get(kind, math.nan) for kind in _ALL_ARMS]
+    r, n, direct, expand, base = [
+        math.nan if t is None else t.counts.n_success / t.counts.n_total
+        for t in _tallies(model, n_per_arm, seed, groups, words)
+    ]
     return accardi_of_rates(r, n, direct), boost_of_rates(expand, base)
 
 
@@ -487,9 +484,9 @@ def _run_points(
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-    arms = _tallies(model, config.n_per_arm, config.seed)
-    baseline = arms.pop(None)
-    return SimResult(config, arms, baseline)
+    r, nr, direct, expand, base = _tallies(model, config.n_per_arm, config.seed, _EACH_ARM)
+    arms = {_R_ARM: r, _NR_ARM: nr, _DIRECT_ARM: direct, _EXPAND_ARM: expand}
+    return SimResult(config, arms, base)
 
 
 def simulate_classical(
