@@ -27,6 +27,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[2]
 STREAM = "src/irboost/stream.py"
+CLASSICAL = "src/irboost/classical.py"
+QUANTUM = "src/irboost/quantum.py"
+CLI = "src/irboost/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -82,21 +85,81 @@ MUTANTS = (
     ),
     Mutant(
         "quantum-boost-sign",
-        "src/irboost/quantum.py",
+        QUANTUM,
         "return (cos_alpha - cos_phi) / (1.0 + cos_phi)",
         "return (cos_phi - cos_alpha) / (1.0 + cos_phi)",
         ("tests/test_quantum.py::TestBoostQuantum",),
     ),
     Mutant(
+        "classical-boost-sum",
+        CLASSICAL,
+        "return (q_r - q_n) * (1.0 - p) / (q_r * p + q_n * (1.0 - p))",
+        "return (q_r + q_n) * (1.0 - p) / (q_r * p + q_n * (1.0 - p))",
+        ("tests/test_classical.py::TestBoostClassical::test_route_equivalence",),
+    ),
+    Mutant(
+        "quantum-accardi-sign",
+        QUANTUM,
+        "return 0.5 * (1.0 + cos_phi_minus_alpha / cos_alpha)",
+        "return 0.5 * (1.0 - cos_phi_minus_alpha / cos_alpha)",
+        ("tests/test_quantum.py::TestAccardiQuantum::test_witness_above_one",),
+    ),
+    Mutant(
+        "classical-accardi-flag-at-margin",
+        CLASSICAL,
+        "return abs(q_r - q_n) > margin",
+        "return abs(q_r - q_n) >= margin",
+        ("tests/test_classical.py::TestFlags::test_accardi_needs_the_rates_apart_by_more_than_the_margin",),
+    ),
+    Mutant(
+        "classical-boost-flag-at-margin",
+        CLASSICAL,
+        "return (p > margin) &",
+        "return (p >= margin) &",
+        ("tests/test_classical.py::TestFlags::test_boost_needs_the_prior_above_the_margin",),
+    ),
+    Mutant(
+        "quantum-accardi-flag-at-margin",
+        QUANTUM,
+        "return abs(cos_alpha) > margin",
+        "return abs(cos_alpha) >= margin",
+        ("tests/test_quantum.py::TestFlags::test_accardi_needs_cos_alpha_beyond_the_margin",),
+    ),
+    Mutant(
+        "quantum-boost-flag-at-margin",
+        QUANTUM,
+        "return (1.0 + cos_phi) / 2.0 > margin",
+        "return (1.0 + cos_phi) / 2.0 >= margin",
+        ("tests/test_quantum.py::TestFlags::test_boost_needs_the_prior_above_the_margin",),
+    ),
+    Mutant(
+        "malformed-input-exits-1",
+        CLI,
+        'print(f"irboost: error: {exc}", file=sys.stderr)\n        return 2',
+        'print(f"irboost: error: {exc}", file=sys.stderr)\n        return 1',
+        ("tests/test_cli.py::TestEstimateCommand::test_malformed_exits_2",),
+    ),
+    Mutant(
         "io-error-exits-2",
-        "src/irboost/cli.py",
+        CLI,
         'print(f"irboost: i/o error: {exc}", file=sys.stderr)\n        return 3',
         'print(f"irboost: i/o error: {exc}", file=sys.stderr)\n        return 2',
         ("tests/test_cli.py::TestOutFileRewrite::test_failed_write_is_cut_where_it_stopped",),
     ),
+    Mutant(
+        "help-width-one-column-wide",
+        CLI,
+        "width=shutil.get_terminal_size().columns - 2",
+        "width=shutil.get_terminal_size().columns - 1",
+        ("tests/test_cli.py::TestHelpText::test_stock_rendering",),
+    ),
 )
 
-_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+# caches and benchmark output (.bench_out alone can hold tens of MB), which
+# no selection reads
+_SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*"
+)
 
 
 def _copy_tree(dest: Path, mutant: Mutant | None) -> None:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 from typing import Optional, Sequence
 
@@ -126,17 +128,30 @@ def _add_arguments(parser: argparse.ArgumentParser, names) -> None:
         parser.add_argument(name.split()[0], **_ARGUMENTS[name])
 
 
+def _formatter():
+    """argparse's help formatter at the width its default reads (the
+    terminal's columns less 2), looked up once per parser build: left to
+    itself, argparse makes a formatter per add_argument, and each one asks
+    the terminal for its size."""
+    return functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    formatter = _formatter()  # subparsers do not inherit formatter_class
     parser = argparse.ArgumentParser(
         prog="irboost",
         description=(
             "Query-expansion precision boost and the Accardi invariant "
             "under classical (urn) and quantum (spin-1/2) document models."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), arguments)
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        _add_arguments(command, arguments)
     return parser
 
 
@@ -146,7 +161,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is not None:
         # the parser sub.add_parser(argv[0]) makes in build_parser
-        parser = argparse.ArgumentParser(prog=f"irboost {argv[0]}")
+        parser = argparse.ArgumentParser(
+            prog=f"irboost {argv[0]}", formatter_class=_formatter()
+        )
         _add_arguments(parser, command[1])
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:

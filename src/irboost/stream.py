@@ -111,6 +111,11 @@ class ArmKind(enum.Enum):
     DIRECT_TERM = "direct_term"
     EXPAND_THEN_RELEVANCE = "expand_then_relevance"
 
+    # members are singletons that compare by identity, so the identity hash
+    # is correct, and unlike Enum.__hash__ it runs in C (each arm's row
+    # lookup hashes its kind); no output iterates a hash-ordered set of kinds
+    __hash__ = object.__hash__
+
 
 BASELINE_NAME = "baseline_relevance"
 # One row per substream, in substream order: (kind, index, tally name).  The
@@ -129,8 +134,7 @@ _ACCARDI_ARMS = (0, 1, 2)
 _BOOST_ARMS = (3, 4)
 # a full run: each arm a group of its own, so a starved arm skips no other
 _EACH_ARM = tuple((index,) for index in range(len(_ARMS)))
-# the filtered arms' kinds, which key SimResult.arms: a dict display of them
-# costs a run ~0.4 us less than dict(zip(...)), as Enum.__hash__ is Python
+# the filtered arms' kinds, which key SimResult.arms in a dict display
 _R_ARM, _NR_ARM, _DIRECT_ARM, _EXPAND_ARM = _ALL_ARMS[:4]
 
 

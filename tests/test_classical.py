@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irboost import classical as cm
 from irboost import (
     EPS_DENOM,
     AccardiUndefined,
@@ -161,3 +162,21 @@ def test_stream_rates_p_x_is_marginal_term_rate():
         p_x = params.stream_rates()[3]
         assert type(p_x) is float
         assert p_x.hex() == float.hex(marginal_term_rate(params))
+
+
+class TestFlags:
+    """Each flag rule is strict: a value equal to its margin leaves the
+    quantity undefined, for a float (eval_point) and an array (a sweep)."""
+
+    def test_accardi_needs_the_rates_apart_by_more_than_the_margin(self):
+        params = ClassicalParams(0.5, 0.75, 0.5)  # |q_r - q_n| = 0.25 exactly
+        assert params.flags(0.25) == (False, True)
+        assert params.flags(0.125) == (True, True)
+        assert cm.accardi_defined(np.array([0.75]), np.array([0.5]), 0.25).tolist() == [False]
+
+    def test_boost_needs_the_prior_above_the_margin(self):
+        params = ClassicalParams(0.25, 0.75, 0.25)
+        assert params.flags(0.25) == (True, False)
+        assert params.flags(0.125) == (True, True)
+        p, q_r, q_n = (np.array([x]) for x in (0.25, 0.75, 0.25))
+        assert cm.boost_defined(p, q_r, q_n, 0.25).tolist() == [False]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -497,6 +498,17 @@ PARSE_BATTERY = [
 ]
 
 
+# one argv that parses through each subcommand's parser alone
+NAMED_ARGVS = [
+    ["classical", "0.5", "0.8", "0.2"],
+    ["quantum", "1.0", "0.7", "--format", "json"],
+    ["sweep", "--model", "quantum", "--n-points", "3", "--seed", "1"],
+    ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--n-per-arm", "100"],
+    ["estimate", str(DATA / "counts.txt")],
+    ["gnuplot", str(DATA / "sweep.csv")],
+]
+
+
 class _FullTreeBuilt(Exception):
     pass
 
@@ -529,18 +541,7 @@ class TestParseRoutes:
         monkeypatch.setattr(cli, "_parse", lambda a: cli.build_parser().parse_args(a))
         assert self._outcome(argv, capsys) == outcome
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classical", "0.5", "0.8", "0.2"],
-            ["quantum", "1.0", "0.7", "--format", "json"],
-            ["sweep", "--model", "quantum", "--n-points", "3", "--seed", "1"],
-            ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--n-per-arm", "100"],
-            ["estimate", str(DATA / "counts.txt")],
-            ["gnuplot", str(DATA / "sweep.csv")],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", NAMED_ARGVS, ids=lambda argv: argv[0])
     def test_named_subcommand_never_builds_the_full_tree(self, argv, monkeypatch):
         monkeypatch.setattr(cli, "build_parser", self._full_tree)
         assert main(argv) == 0
@@ -553,6 +554,75 @@ class TestParseRoutes:
     @staticmethod
     def _full_tree():
         raise _FullTreeBuilt
+
+
+def _stock_parser():
+    """The full parser from the same tables, with argparse's default
+    formatter, which reads the terminal width itself."""
+    parser = argparse.ArgumentParser(
+        prog="irboost", description=cli.build_parser().description
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            command.add_argument(argument.split()[0], **cli._ARGUMENTS[argument])
+    return parser
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestHelpText:
+    """Help, usage and error text are argparse's stock rendering: each parser
+    build reads the terminal width once, as argparse's formatter would."""
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            *([name, "-h"] for name in cli._COMMANDS),
+            [],
+            ["classical", "0.5", "0.8", "0.2", "--bogus"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-args",
+    )
+    def test_stock_rendering(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _exit(_stock_parser().parse_args, argv, capsys)
+        assert _exit(main, argv, capsys) == expected
+
+
+class TestTerminalSizeLookups:
+    """One terminal-size lookup per parser build, and a build per call: the
+    parser is not kept between calls."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        lookup = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", NAMED_ARGVS, ids=lambda argv: argv[0])
+    def test_one_per_subcommand_parse(self, argv, lookups):
+        for n in (1, 2):
+            cli._parse(argv)
+            assert len(lookups) == n
+
+    def test_one_per_full_parser(self, lookups):
+        for n in (1, 2):
+            cli.build_parser()
+            assert len(lookups) == n
 
 
 def _arguments(parser):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from irboost import (
     quantum_rates,
     total_probability,
 )
+from irboost import quantum as qm
 from irboost.quantum import interference_term_by_rates
 
 angle = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
@@ -205,3 +207,23 @@ class TestInterference:
             interference = math.sin(phi) * math.tan(alpha) / 2
             classical = accardi_quantum(params) - interference
             assert 0.0 - 1e-12 <= classical <= 1.0 + 1e-12
+
+
+class TestFlags:
+    """Each flag rule is strict: a value equal to its margin leaves the
+    quantity undefined, for a float (eval_point) and an array (a sweep)."""
+
+    def test_accardi_needs_cos_alpha_beyond_the_margin(self):
+        params = QuantumParams(1.0, math.pi / 3)
+        margin = math.cos(math.pi / 3)  # |cos alpha| exactly
+        assert params.flags(margin) == (False, True)
+        assert params.flags(margin / 2) == (True, True)
+        assert qm.accardi_defined(np.array([margin]), margin).tolist() == [False]
+
+    def test_boost_needs_the_prior_above_the_margin(self):
+        params = QuantumParams(math.pi / 2, 0.5)
+        cos_phi = math.cos(math.pi / 2)
+        margin = (1.0 + cos_phi) / 2.0  # P(R) exactly
+        assert params.flags(margin) == (True, False)
+        assert params.flags(margin / 2) == (True, True)
+        assert qm.boost_defined(np.array([cos_phi]), margin).tolist() == [False]
