@@ -30,6 +30,7 @@ STREAM = "src/irboost/stream.py"
 CLASSICAL = "src/irboost/classical.py"
 QUANTUM = "src/irboost/quantum.py"
 CLI = "src/irboost/cli.py"
+SWEEP = "src/irboost/sweep.py"
 
 
 class Mutant(NamedTuple):
@@ -131,6 +132,55 @@ MUTANTS = (
         "return (1.0 + cos_phi) / 2.0 > margin",
         "return (1.0 + cos_phi) / 2.0 >= margin",
         ("tests/test_quantum.py::TestFlags::test_boost_needs_the_prior_above_the_margin",),
+    ),
+    Mutant(
+        "classical-accardi-complement",
+        CLASSICAL,
+        "return params.p\n",
+        "return 1.0 - params.p\n",
+        ("tests/test_classical.py::TestAccardiClassical::test_equals_prior",),
+    ),
+    Mutant(
+        "quantum-posterior-sign",
+        QUANTUM,
+        "(1.0 + math.cos(params.alpha))",
+        "(1.0 - math.cos(params.alpha))",
+        ("tests/test_quantum.py::TestPosteriorQuantum::test_term_equals_relevance",),
+    ),
+    Mutant(
+        "quantum-rate-given-n-sign",
+        QUANTUM,
+        "(1.0 - ca) / 2.0",
+        "(1.0 + ca) / 2.0",
+        ("tests/test_quantum.py::TestQuantumRates::test_aligned_states",),
+    ),
+    Mutant(
+        "summary-region-open-at-zero",
+        SWEEP,
+        "if 0.0 <= pt.a <= 1.0)",
+        "if 0.0 < pt.a <= 1.0)",
+        ("tests/test_sweep.py::TestSummary::test_a_at_a_bound_of_the_classical_region_is_inside_it",),
+    ),
+    Mutant(
+        "summary-region-open-at-one",
+        SWEEP,
+        "if 0.0 <= pt.a <= 1.0)",
+        "if 0.0 <= pt.a < 1.0)",
+        ("tests/test_sweep.py::TestSummary::test_a_at_a_bound_of_the_classical_region_is_inside_it",),
+    ),
+    Mutant(
+        "count-file-n_r-equal-to-n-exceeds-it",
+        SWEEP,
+        "if n_r > n:",
+        "if n_r >= n:",
+        ("tests/test_sweep.py::TestEstimateFromFile::test_every_document_relevant",),
+    ),
+    Mutant(
+        "count-file-float-max-out-of-range",
+        SWEEP,
+        "if n > sys.float_info.max:",
+        "if n >= sys.float_info.max:",
+        ("tests/test_sweep.py::TestEstimateFromFile::test_n_at_the_float_max_is_in_range",),
     ),
     Mutant(
         "malformed-input-exits-1",

@@ -22,7 +22,7 @@ from .probcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassicalParams(ModelParams):
     """Urn-model parameter triple (p, q_r, q_n), each in [0, 1]."""
 

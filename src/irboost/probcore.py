@@ -43,7 +43,7 @@ class Probability(float):
         return super().__new__(cls, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateTriple:
     """The three measured rates feeding the Accardi invariant.
 
@@ -61,7 +61,7 @@ class RateTriple:
             object.__setattr__(self, name, Probability(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmCounts:
     """Raw outcome tally from one measurement arm of a document stream."""
 
@@ -81,7 +81,7 @@ class ArmCounts:
         raise ValueError(f"n_success={k} exceeds n_total={n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateWithError:
     """A point estimate with its (first-order) standard error."""
 
@@ -101,6 +101,8 @@ class ModelParams:
     boost_defined); ``stream_rates()``, P(R), P(X|R), P(X|~R), P(X), P(R|X).
     """
 
+    __slots__ = ()  # or each subclass instance keeps a dict beside its slots
+
     def __post_init__(self):
         bound = self.bound
         for field in self.__match_args__:  # the dataclass's fields, in order
@@ -112,10 +114,8 @@ class ModelParams:
 
 def fields_dict(value) -> Optional[dict]:
     """A dataclass instance's fields, as its ``__match_args__`` names them,
-    in a new dict; None stays None.
-
-    Read by name rather than through vars(): on CPython 3.11+ that attaches
-    a 64-byte dict to every instance it touches, one per sweep point.
+    in a new dict; None stays None.  Read by name: the records keep their
+    fields in slots, so vars() raises TypeError on them.
     """
     if value is None:
         return None

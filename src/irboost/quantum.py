@@ -32,7 +32,7 @@ from .errors import AccardiUndefined, BoostUndefined
 from .probcore import EPS_DENOM, ModelParams, Probability, total_probability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumParams(ModelParams):
     """Query-state angle phi and term-state angle alpha, radians in [0, pi]."""
 
@@ -54,7 +54,7 @@ class QuantumParams(ModelParams):
         return p_r, p_x_r, p_x_n, p_x, p_x_r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumRates:
     """The four Born-rule rates of the spin-1/2 model.
 

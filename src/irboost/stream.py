@@ -160,7 +160,7 @@ def check_n_per_arm(n_per_arm) -> int:
     return _check_int(n_per_arm, 1, _MAX_N_PER_ARM, _N_PER_ARM_RULE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """One reproducible run: model parameters, accepted docs per arm, seed."""
 
@@ -173,13 +173,13 @@ class SimConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmTally:
     counts: ArmCounts
     draws_consumed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimResult:
     """The tallies of one run, and the estimates read from them.
 

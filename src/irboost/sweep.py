@@ -73,7 +73,7 @@ DEFAULT_EXCLUSION_MARGIN = 1e-6
 DEFAULT_N_PER_ARM = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepConfig:
     model: str  # "classical" | "quantum"
     n_points: int
@@ -105,7 +105,7 @@ class ScatterPoint(NamedTuple):
     boost_defined: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSummary:
     """Aggregate view of one sweep.
 
@@ -124,7 +124,7 @@ class SweepSummary:
     max_delta_violation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountEstimate:
     """Empirical (A, Delta) from externally supplied counts, with errors."""
 

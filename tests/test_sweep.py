@@ -499,6 +499,19 @@ class TestEstimateFromFile:
         with pytest.raises(MalformedInput):
             estimate_from_file(path)
 
+    def test_every_document_relevant(self, tmp_path):
+        # N_R = N is consistent with N but leaves ~R empty
+        path = self.write(tmp_path, "1000 1000 400 0 500\n")
+        message = "both relevance classes must be populated to form conditional rates"
+        with pytest.raises(MalformedInput) as info:
+            estimate_from_file(path)
+        assert str(info.value) == message
+
+    def test_n_at_the_float_max_is_in_range(self, tmp_path):
+        n = int(sys.float_info.max)  # exactly the largest double
+        path = self.write(tmp_path, f"{n} {n // 2} 0 0 0\n")
+        assert parse_count_file(path) == (n, n // 2, 0, 0, 0)
+
     def test_boost_flag_follows_the_classical_rule(self, tmp_path):
         # p = N_R/N is exactly EPS_DENOM: undefined, as for the closed form
         path = self.write(tmp_path, "1000000000 1 1 500000000 500000001\n")
@@ -677,8 +690,8 @@ class TestCsv:
 
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_writers_attach_nothing_to_points(self, model):
-        # the writers read each field by name; reading vars() instead would
-        # leave a 64-byte dict on every point's params on CPython 3.11+
+        # the writers read each field by name and keep nothing of what they
+        # read: no memory stays behind on the points once they return
         points, summary = sweep(SweepConfig(model, 2000, seed=1))
         write_csv(points[:1], io.StringIO())
         points_to_json_dict(points[:1], summary)
@@ -757,6 +770,18 @@ class TestSummary:
         summary = summarize([pt])
         assert summary.max_delta_classical_region == 0.4
         assert math.isnan(summary.max_delta_violation)
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_a_at_a_bound_of_the_classical_region_is_inside_it(self, edge):
+        # the region is the closed interval [0, 1]: A exactly 0 or 1 is not
+        # a violation, and neither fraction counts it
+        params = ClassicalParams(0.5, 0.9, 0.1)
+        at_edge = ScatterPoint("classical", params, edge, 0.7, True, True)
+        inside = ScatterPoint("classical", params, 0.5, 0.2, True, True)
+        summary = summarize([at_edge, inside])
+        assert summary.max_delta_classical_region == 0.7
+        assert math.isnan(summary.max_delta_violation)
+        assert summary.fraction_a_below_0 == summary.fraction_a_above_1 == 0.0
 
     @staticmethod
     def _numpy_summary(points):
