@@ -12,7 +12,9 @@ The checkout itself is never written.  Exits 0 when every mutant is
 killed, 1 otherwise.
 
 tests/test_mutants.py checks in tier-1 that each ``old`` string occurs
-exactly once in its file, so an entry cannot rot silently when code moves.
+exactly once in its file, that each selection names a test that exists and
+that no two mutants share a name, so an entry cannot rot silently when code
+or tests move.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ CLASSICAL = "src/irboost/classical.py"
 QUANTUM = "src/irboost/quantum.py"
 CLI = "src/irboost/cli.py"
 SWEEP = "src/irboost/sweep.py"
+PROBCORE = "src/irboost/probcore.py"
 
 
 class Mutant(NamedTuple):
@@ -52,8 +55,8 @@ MUTANTS = (
     Mutant(
         "full-run-one-group",
         STREAM,
-        "_EACH_ARM = tuple((index,) for index in range(len(_ARMS)))",
-        "_EACH_ARM = (tuple(range(len(_ARMS))),)",
+        "_EACH_ARM = tuple((index,) for index in range(len(_ALL_ARMS)))",
+        "_EACH_ARM = (tuple(range(len(_ALL_ARMS))),)",
         ("tests/test_stream.py::TestArmCalls::test_run_with_a_starved_arm",),
     ),
     Mutant(
@@ -83,6 +86,13 @@ MUTANTS = (
         "root = np.random.SeedSequence(seed, spawn_key=(0,))",
         "root = np.random.SeedSequence(seed, spawn_key=(1,))",
         ("tests/test_sweep.py::TestSweepMonteCarlo::test_points_run_with_their_documented_seeds",),
+    ),
+    Mutant(
+        "seed-chunks-overlap",
+        STREAM,
+        "range(0, seeds.size, _SEED_CHUNK)",
+        "range(0, seeds.size, _SEED_CHUNK - 1)",
+        ("tests/test_stream.py::TestArmKeying::test_seed_words_are_numpys",),
     ),
     Mutant(
         "quantum-boost-sign",
@@ -181,6 +191,58 @@ MUTANTS = (
         "if n > sys.float_info.max:",
         "if n >= sys.float_info.max:",
         ("tests/test_sweep.py::TestEstimateFromFile::test_n_at_the_float_max_is_in_range",),
+    ),
+    Mutant(
+        "count-file-read-error-names-no-path",
+        SWEEP,
+        "raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None",
+        "raise OSError(exc.errno, exc.strerror) from None",
+        ("tests/test_cli_fuzz.py::test_missing_and_directory_paths_exit_3",),
+    ),
+    Mutant(
+        "count-file-one-read",
+        SWEEP,
+        "while chunk := os.read(fd, 65536):",
+        "if chunk := os.read(fd, 65536):",
+        ("tests/test_sweep.py::TestEstimateFromFile::test_read_runs_to_the_end_of_a_long_file",),
+    ),
+    Mutant(
+        "count-file-reads-decoded-apart",
+        SWEEP,
+        'text = b"".join(chunks).decode("utf-8")',
+        'text = "".join(chunk.decode("utf-8") for chunk in chunks)',
+        ("tests/test_sweep.py::TestEstimateFromFile::test_read_runs_to_the_end_of_a_long_file",),
+    ),
+    Mutant(
+        "accardi-from-counts-keeps-numpy-floats",
+        PROBCORE,
+        "float(a),  # a float on NumPy integer counts too",
+        "a,  # a float on NumPy integer counts too",
+        ("tests/test_probcore.py::TestAccardiFromCounts::test_numpy_integer_counts_give_floats",),
+    ),
+    Mutant(
+        "accardi-from-counts-error-terms-reordered",
+        PROBCORE,
+        "d_dx * se_x,\n        d_dr * se_r,\n        d_dn * se_n,",
+        "d_dn * se_n,\n        d_dr * se_r,\n        d_dx * se_x,",
+        ("tests/test_probcore.py::TestAccardiFromCounts::test_matches_the_composed_route",),
+    ),
+    Mutant(
+        "accardi-undefined-message-drops-the-rate",
+        PROBCORE,
+        'f"P(X|R) = P(X|~R) = {rates.p_x_given_r} within tolerance"',
+        '"P(X|R) = P(X|~R) within tolerance"',
+        ("tests/test_probcore.py::TestAccardiFromCounts::test_tied_rates_message_names_the_rate",),
+    ),
+    Mutant(
+        "usage-error-exits-1",
+        CLI,
+        "    args = _parse(sys.argv[1:] if argv is None else list(argv))\n",
+        "    try:\n"
+        "        args = _parse(sys.argv[1:] if argv is None else list(argv))\n"
+        "    except SystemExit as exc:\n"
+        "        return 1 if exc.code == 2 else exc.code\n",
+        ("tests/test_cli.py::TestEstimateCommand::test_takes_no_seed",),
     ),
     Mutant(
         "malformed-input-exits-1",

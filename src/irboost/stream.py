@@ -118,24 +118,20 @@ class ArmKind(enum.Enum):
 
 
 BASELINE_NAME = "baseline_relevance"
-# One row per substream, in substream order: (kind, index, tally name).  The
-# baseline relevance tally is kind None, index 4.
-_ARMS = (
-    *((kind, i, kind.value) for i, kind in enumerate(ArmKind)),
-    (None, 4, BASELINE_NAME),
-)
-# every arm's kind, in substream order
-_ALL_ARMS = tuple(kind for kind, _, _ in _ARMS)
+# The one arm order: every arm's kind, in substream order.  The baseline
+# relevance tally is kind None, index 4.
+_ALL_ARMS = (*ArmKind, None)
 # each arm's kind: (its substream index, its tally name)
-_ARM_ROWS = {kind: (index, name) for kind, index, name in _ARMS}
+_ARM_ROWS = {
+    kind: (index, BASELINE_NAME if kind is None else kind.value)
+    for index, kind in enumerate(_ALL_ARMS)
+}
 # arm groups of substream indices (see _tallies): A's, in RateTriple order
 _ACCARDI_ARMS = (0, 1, 2)
 # the boost's arms, posterior (the expansion arm) then prior (the baseline)
 _BOOST_ARMS = (3, 4)
 # a full run: each arm a group of its own, so a starved arm skips no other
-_EACH_ARM = tuple((index,) for index in range(len(_ARMS)))
-# the filtered arms' kinds, which key SimResult.arms in a dict display
-_R_ARM, _NR_ARM, _DIRECT_ARM, _EXPAND_ARM = _ALL_ARMS[:4]
+_EACH_ARM = tuple((index,) for index in range(len(_ALL_ARMS)))
 
 
 def _check_int(value, low: int, high: float, message: str) -> int:
@@ -282,7 +278,7 @@ class _Words(ISeedSequence):
 # per substream after a skipped first block.  Its constants are
 # c_0 = 0x8B51F9DD and c_(i+1) = c_i * 0x58F38DED mod 2**32; word i takes c_i
 # and c_(i+1), and pool word i % 4 (the default pool size).
-_N_HASH_WORDS = 2 * 4 * (len(_ARMS) + 1)
+_N_HASH_WORDS = 2 * 4 * (len(_ALL_ARMS) + 1)
 _HASH_C = np.array(
     [0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(_N_HASH_WORDS + 1)],
     np.uint32,
@@ -488,9 +484,8 @@ def _run_points(
 
 def _simulate(model: ModelParams, n_per_arm: int, seed: int) -> SimResult:
     config = SimConfig(model=model, n_per_arm=n_per_arm, seed=seed)
-    r, nr, direct, expand, base = _tallies(model, config.n_per_arm, config.seed, _EACH_ARM)
-    arms = {_R_ARM: r, _NR_ARM: nr, _DIRECT_ARM: direct, _EXPAND_ARM: expand}
-    return SimResult(config, arms, base)
+    *arms, base = _tallies(model, config.n_per_arm, config.seed, _EACH_ARM)
+    return SimResult(config, dict(zip(_ALL_ARMS, arms)), base)
 
 
 def simulate_classical(

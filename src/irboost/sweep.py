@@ -169,7 +169,9 @@ def _run_args(mode: str, n_per_arm, seed, exclusion_margin: float):
 def _analytic_points(
     model: str, mat: np.ndarray, params: "list[ModelParams]", m: float
 ) -> list[ScatterPoint]:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a flag that is false masks its lane, whose division may be 0/0, x/0 or
+    # overflow (a subnormal denominator); no lane a flag keeps can do any
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if model == "classical":
             p, q_r, q_n = mat[:, 0], mat[:, 1], mat[:, 2]
             a_ok = cm.accardi_defined(q_r, q_n, m)
@@ -195,7 +197,7 @@ def _flagged(params: ModelParams, a: float, delta: float) -> ScatterPoint:
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
     # lists of references only: a (a, delta) tuple per point would cost
-    # more memory than the points' NumPy columns did
+    # more memory
     a_defined = [pt.a for pt in points if pt.accardi_defined]
     both = [pt for pt in points if pt.accardi_defined and pt.boost_defined]
     n_a = len(a_defined)

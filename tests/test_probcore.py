@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,15 @@ class TestAccardiFromCounts:
             accardi_from_counts(
                 ArmCounts(10, 5), ArmCounts(10, 5), ArmCounts(10, 5)
             )
+
+    def test_tied_rates_message_names_the_rate(self):
+        # the message a CLI user reads on a count file with tied rates, from
+        # the checked closed form and from counts alike
+        want = "^" + re.escape("P(X|R) = P(X|~R) = 0.5 within tolerance") + "$"
+        with pytest.raises(AccardiUndefined, match=want):
+            accardi(RateTriple(0.5, 0.5, 0.25))
+        with pytest.raises(AccardiUndefined, match=want):
+            accardi_from_counts(ArmCounts(10, 5), ArmCounts(20, 10), ArmCounts(10, 3))
 
     def test_empty_direct_arm(self):
         with pytest.raises(EmptyArm):

@@ -34,7 +34,8 @@ from irboost import (
 from irboost.cli import main as cli_main
 from irboost.quantum import quantum_rates
 from irboost.stream import (
-    _ARMS,
+    _ALL_ARMS,
+    _ARM_ROWS,
     _MAX_N_PER_ARM,
     _SEED_CHUNK,
     BASELINE_NAME,
@@ -578,6 +579,34 @@ class TestArmKeying:
         assert got == [want[job] for job in jobs]
 
 
+class TestArmOrder:
+    # one arm order, (*ArmKind, None), gives each arm its substream index
+    # and its tally name, and keys SimResult.arms in ArmKind order
+    @pytest.mark.parametrize(
+        "run, params, starved",
+        [
+            (simulate_classical, ClassicalParams(0.4, 0.7, 0.3), None),
+            # P(R) ~ 0: the relevance arm starves, and keeps its key
+            (simulate_quantum, QuantumParams(math.pi - 2e-4, 1.0), ArmKind.COND_ON_RELEVANT),
+        ],
+        ids=["classical", "quantum-starved"],
+    )
+    def test_arms_keyed_in_kind_order(self, run, params, starved):
+        res = run(params, 3, 11)
+        assert list(res.arms) == list(ArmKind)
+        assert [k for k, t in res.arms.items() if t is None] == ([starved] if starved else [])
+
+    def test_rows_are_substream_positions_and_json_names(self):
+        order = (*ArmKind, None)
+        doc = simulate_classical(ClassicalParams(0.4, 0.7, 0.3), 10, 0).to_json_dict()
+        assert BASELINE_NAME in doc
+        names = [*doc["arms"], BASELINE_NAME]
+        assert list(_ARM_ROWS) == list(order)
+        for kind, row in _ARM_ROWS.items():
+            index = order.index(kind)
+            assert row == (index, names[index])
+
+
 class TestArmCalls:
     # each run calls the module-level stream.simulate_arm once per arm it
     # runs, in substream order, with n_per_arm third and the run's arm rates
@@ -585,7 +614,7 @@ class TestArmCalls:
     # its stream.arm_us divides by the count.  A full run runs all five
     # arms; a Monte Carlo point runs only the arms its flags read, and each
     # flag's arms only up to the first that starves
-    KINDS = [kind for kind, _, _ in _ARMS]
+    KINDS = list(_ALL_ARMS)
 
     @staticmethod
     def _recorded(monkeypatch, run):

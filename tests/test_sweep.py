@@ -120,11 +120,16 @@ class TestSweepAnalytic:
             assert math.isnan(pt.a)
 
     @pytest.mark.parametrize(
-        "model,row", [("classical", [0.0, 0.0, 0.0]), ("quantum", [math.pi, 0.0])]
+        "model,row",
+        [
+            ("classical", [0.0, 0.0, 0.0]),
+            ("quantum", [math.pi, 0.0]),
+            ("classical", [0.0, 1e-12, 5e-324]),  # x / subnormal overflows
+        ],
     )
     def test_row_on_a_singular_manifold(self, model, row, monkeypatch):
-        # uniform sampling all but never draws such a row; its 0/0 or x/0
-        # must stay inside the sweep's np.errstate (RuntimeWarning fails)
+        # uniform sampling all but never draws such a row; its 0/0, x/0 or
+        # overflow must stay inside the sweep's np.errstate (RuntimeWarning fails)
         module = importlib.import_module("irboost.sweep")  # irboost.sweep is the function
         monkeypatch.setattr(module, "sample_params", lambda config: np.array([row]))
         (pt,), _ = sweep(SweepConfig(model, 1, seed=0))
