@@ -235,6 +235,20 @@ MUTANTS = (
         ("tests/test_probcore.py::TestAccardiFromCounts::test_tied_rates_message_names_the_rate",),
     ),
     Mutant(
+        "arm-counts-admits-infinite-success",
+        PROBCORE,
+        "-math.inf < k < math.inf)",
+        "-math.inf < k <= math.inf)",
+        ("tests/test_probcore.py::TestArmCounts::test_rejects_non_finite",),
+    ),
+    Mutant(
+        "arm-counts-empty-total-is-negative",
+        PROBCORE,
+        "if n < 0 or k < 0:",
+        "if n <= 0 or k < 0:",
+        ("tests/test_probcore.py::TestArmCounts::test_message_for_success_above_total",),
+    ),
+    Mutant(
         "usage-error-exits-1",
         CLI,
         "    args = _parse(sys.argv[1:] if argv is None else list(argv))\n",

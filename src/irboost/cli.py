@@ -195,18 +195,22 @@ def _output(args):
             raise
 
 
+def _write_json(args, payload) -> None:
+    text = json.dumps(payload, indent=2)  # rendered first, as _output asks
+    with _output(args) as out:
+        # in pieces: an unbuffered stdout drops the rest of a short write
+        # unseen, so only a later write can see the reader gone
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            out.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
+        out.write("\n")
+
+
 def _write_points(args, points, summary=None, **extra) -> None:
     if args.format == "csv":
         with _output(args) as out:
             write_csv(points, out)
-    else:  # rendered before the file opens, so its buffer adds nothing to the peak
-        text = json.dumps({**points_to_json_dict(points, summary), **extra}, indent=2)
-        with _output(args) as out:
-            # in pieces: an unbuffered stdout drops the rest of a short write
-            # unseen, so only a later write can see the reader gone
-            for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-                out.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
-            out.write("\n")
+    else:
+        _write_json(args, {**points_to_json_dict(points, summary), **extra})
 
 
 def _parse_params(model: str, text: str):
@@ -243,12 +247,8 @@ def _run(args) -> None:
 
     elif args.command == "simulate":
         params = _parse_params(args.model, args.params)
-        if args.model == "classical":
-            result = simulate_classical(params, args.n_per_arm, args.seed)
-        else:
-            result = simulate_quantum(params, args.n_per_arm, args.seed)
-        with _output(args) as out:
-            out.write(result.to_json() + "\n")
+        simulate = simulate_classical if args.model == "classical" else simulate_quantum
+        _write_json(args, simulate(params, args.n_per_arm, args.seed).to_json_dict())
 
     elif args.command == "estimate":
         outcome = estimate_from_file(args.path)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irboost import classical as cm
@@ -162,6 +163,65 @@ def test_stream_rates_p_x_is_marginal_term_rate():
         p_x = params.stream_rates()[3]
         assert type(p_x) is float
         assert p_x.hex() == float.hex(marginal_term_rate(params))
+
+
+# 0 or [2**-400, 1]: every product of two inputs, and q_n (1 - p) with
+# 1 - p >= 2**-53, stays at or above 2**-800, a normal float.  Below that a
+# product can lose bits to underflow, and that error is not bounded by a
+# count of roundings.
+_exact_input = st.one_of(st.just(0.0), st.floats(min_value=2.0**-400, max_value=1.0))
+
+# Each rounded operation is off by at most half an ulp of its own result,
+# a relative 2**-53, which is less than one ulp of the final result; every
+# subtraction is of exact inputs (q_r - q_n, 1 - p) and every sum is of
+# nonnegative terms, so no rounded value is cancelled and the relative
+# errors add.  boost_closed_form rounds the most operations: q_r - q_n,
+# 1 - p twice, three products, a sum and a quotient, eight in all
+# (posterior_bayes rounds six, total_probability four).
+_MAX_ULPS = 8
+
+
+def _ulps_off(got, exact: Fraction) -> Fraction:
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestExactError:
+    """The classical forms against the exact rational value of their float
+    inputs, wherever each is defined."""
+
+    EXACT = settings(max_examples=500, deadline=None, derandomize=True)
+
+    @EXACT
+    @given(_exact_input, _exact_input, _exact_input)
+    @example(1e-4, 1e-5, 1.1e-5)  # p < 1e-3, rates < 1e-4 and near-tied
+    @example(0.3, 0.5, 0.5 + 2.0**-53)
+    def test_boost_closed_form(self, p, q_r, q_n):
+        P, R, N = map(Fraction, (p, q_r, q_n))
+        denom = R * P + N * (1 - P)
+        assume(denom > 0)
+        exact = (R - N) * (1 - P) / denom
+        assert _ulps_off(cm.boost_closed_form(p, q_r, q_n), exact) <= _MAX_ULPS
+
+    @EXACT
+    @given(_exact_input, _exact_input, _exact_input)
+    @example(1e-4, 1e-5, 1.1e-5)
+    def test_posterior_bayes(self, p, q_r, q_n):
+        P, R, N = map(Fraction, (p, q_r, q_n))
+        try:
+            got = posterior_bayes(ClassicalParams(p, q_r, q_n))
+        except BoostUndefined:  # its guard reads the rounded P(X)
+            assert q_r * p + q_n * (1.0 - p) <= EPS_DENOM
+            return
+        exact = R * P / (R * P + N * (1 - P))
+        assert _ulps_off(got, exact) <= _MAX_ULPS
+
+    @EXACT
+    @given(_exact_input, _exact_input, _exact_input)
+    @example(1e-4, 1e-5, 1.1e-5)
+    def test_total_probability(self, p, q_r, q_n):
+        P, R, N = map(Fraction, (p, q_r, q_n))
+        exact = R * P + N * (1 - P)
+        assert _ulps_off(total_probability(q_r, q_n, p), exact) <= _MAX_ULPS
 
 
 class TestFlags:

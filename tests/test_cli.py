@@ -11,7 +11,7 @@ import pytest
 
 from irboost import cli
 from irboost.cli import main
-from irboost.stream import _SEED_CHUNK
+from irboost.stream import _SEED_CHUNK, SimResult
 from irboost.sweep import CSV_HEADER
 
 DATA = pathlib.Path(__file__).parent / "data" / "cli"
@@ -125,6 +125,23 @@ class TestSimulateCommand:
             check=False,
         )
         assert proc.returncode == 2
+
+    def test_render_failure_leaves_out_file(self, tmp_path, monkeypatch, capsys):
+        # the result is rendered before --out opens, so a failure while
+        # rendering leaves the old file whole rather than empty
+        def no_memory(self):
+            raise MemoryError("render failed")
+
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous\n")
+        monkeypatch.setattr(SimResult, "to_json_dict", no_memory)
+        argv = ["simulate", "--model", "quantum", "--params", "1.0,0.5",
+                "--n-per-arm", "50", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "irboost: error: render failed\n"
+        assert out.read_bytes() == b"previous\n"
 
 
 class TestEstimateCommand:

@@ -60,6 +60,9 @@ class TestArmCounts:
     def test_message_for_success_above_total(self):
         with pytest.raises(ValueError, match="^n_success=4 exceeds n_total=3$"):
             ArmCounts(n_total=3, n_success=4)
+        # n_total 0 is a valid count, not a negative one
+        with pytest.raises(ValueError, match="^n_success=1 exceeds n_total=0$"):
+            ArmCounts(n_total=0, n_success=1)
 
     @pytest.mark.parametrize(
         "n_total, n_success",
@@ -73,6 +76,7 @@ class TestArmCounts:
             (10, -math.inf),
             (np.float64("inf"), 1),
             (np.float32("nan"), 1),
+            (10, math.inf),  # not reported as exceeding n_total
         ],
     )
     def test_rejects_non_finite(self, n_total, n_success):
