@@ -165,6 +165,13 @@ MUTANTS = (
         ("tests/test_quantum.py::TestQuantumRates::test_aligned_states",),
     ),
     Mutant(
+        "flags-both-read-off-a",
+        SWEEP,
+        "not math.isnan(a), not math.isnan(delta))",
+        "not math.isnan(a), not math.isnan(a))",
+        ("tests/test_sweep.py::TestFlagsReadOffValues::test_eval_point",),
+    ),
+    Mutant(
         "summary-region-open-at-zero",
         SWEEP,
         "if 0.0 <= pt.a <= 1.0)",
@@ -261,16 +268,23 @@ MUTANTS = (
     Mutant(
         "malformed-input-exits-1",
         CLI,
-        'print(f"irboost: error: {exc}", file=sys.stderr)\n        return 2',
-        'print(f"irboost: error: {exc}", file=sys.stderr)\n        return 1',
+        'return _report(2, f"irboost: error: {exc}")',
+        'return _report(1, f"irboost: error: {exc}")',
         ("tests/test_cli.py::TestEstimateCommand::test_malformed_exits_2",),
     ),
     Mutant(
         "io-error-exits-2",
         CLI,
-        'print(f"irboost: i/o error: {exc}", file=sys.stderr)\n        return 3',
-        'print(f"irboost: i/o error: {exc}", file=sys.stderr)\n        return 2',
+        'return _report(3, f"irboost: i/o error: {exc}")',
+        'return _report(2, f"irboost: i/o error: {exc}")',
         ("tests/test_cli.py::TestOutFileRewrite::test_failed_write_is_cut_where_it_stopped",),
+    ),
+    Mutant(
+        "unwritable-stderr-left-in-place",
+        CLI,
+        "    except OSError:\n        _to_devnull(sys.stderr)\n",
+        "    except OSError:\n        pass\n",
+        ("tests/test_cli.py::TestUnwritableStderr::test_keeps_the_exit_code",),
     ),
     Mutant(
         "help-width-one-column-wide",

@@ -9,7 +9,8 @@ Subcommands:
   gnuplot FILE          reformat a sweep CSV as two-column 'a delta' text
 
 Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure
-(a closed output pipe among them).
+(a closed output pipe or an empty --out among them); a stderr that cannot take
+the error line changes neither.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 def _output(args):
     """sys.stdout, or the --out file rewritten in place; open it only once
     the result exists, so a failing command leaves an existing file as it was."""
-    if args.out:
+    if args.out is not None:  # "" too, which fails to open
         with _rewrite(args.out) as fh:
             yield fh
     else:
@@ -186,13 +187,18 @@ def _output(args):
             yield sys.stdout
             sys.stdout.flush()  # a failure exits 3 here, not 120 at exit
         except OSError:
-            # fd 1 is gone: point it at the null device, so the flush at
-            # exit has nowhere to fail again
-            with contextlib.suppress(OSError):
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+            _to_devnull(sys.stdout)
             raise
+
+
+def _to_devnull(stream) -> None:
+    """Point the file descriptor under ``stream``, which failed a write, at
+    the null device, so the flush at exit has nowhere to fail again."""
+    with contextlib.suppress(OSError):
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _write_json(args, payload) -> None:
@@ -235,14 +241,7 @@ def _run(args) -> None:
         _write_points(args, [point])
 
     elif args.command == "sweep":
-        config = SweepConfig(
-            model=args.model,
-            n_points=args.n_points,
-            seed=args.seed,
-            mode=args.mode,
-            n_per_arm=args.n_per_arm,
-            exclusion_margin=args.exclusion_margin,
-        )
+        config = SweepConfig(*(getattr(args, k) for k in SweepConfig.__match_args__))
         _write_points(args, *sweep(config))
 
     elif args.command == "simulate":
@@ -265,16 +264,25 @@ def _run(args) -> None:
             write_gnuplot(points, out)
 
 
+def _report(code: int, line: str) -> int:
+    """Print ``line`` on stderr and return ``code``.  A stderr that cannot
+    take the line is pointed at the null device, so neither this print nor
+    the flush at exit changes the exit code."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _run(args)
     except (ValueError, MemoryError) as exc:  # MalformedInput is a ValueError
-        print(f"irboost: error: {exc}", file=sys.stderr)
-        return 2
+        return _report(2, f"irboost: error: {exc}")
     except OSError as exc:
-        print(f"irboost: i/o error: {exc}", file=sys.stderr)
-        return 3
+        return _report(3, f"irboost: i/o error: {exc}")
     return 0
 
 

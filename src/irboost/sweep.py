@@ -6,16 +6,18 @@ Sampling domains are the boxes the parameter classes state: every
 parameter iid uniform on [0, bound], so classical (p, q_r, q_n) on
 [0, 1]^3 and quantum (phi, alpha) on [0, pi]^2.
 Points within ``exclusion_margin`` of a singular manifold (|q_r - q_n|,
-|cos alpha|, or P(R) too small) are emitted with validity flags set to
-False rather than dropped, so a sweep stays an unbiased uniform sample and
-summary fractions remain interpretable.
+|cos alpha|, or P(R) too small) are flagged, not dropped, so a sweep stays
+an unbiased uniform sample and summary fractions remain interpretable.  A
+``ScatterPoint``'s flag is set exactly where its value is not NaN, and
+``_flagged`` builds every point by reading its flags off its values; the
+one exception is ``_analytic_points``, which masks a whole sweep's values
+with the flags it computes as arrays.
 
 All parameter sampling happens up front from one seeded generator,
 ``default_rng(seed)``, and results are deterministic and independent of
 evaluation order.  ``irboost.stream`` owns the Monte Carlo point and the
 point seeds of a Monte Carlo sweep, and states their contract in its
-module docstring; this module puts each point's (A, Delta) in a
-``ScatterPoint``, with a flag set exactly where its value is not NaN.
+module docstring.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class SweepConfig:
 
 
 class ScatterPoint(NamedTuple):
-    """One (A, Delta) point; a/delta are NaN when the matching flag is False."""
+    """One (A, Delta) point; a/delta are NaN exactly where their flag is False."""
 
     model: str
     params: ModelParams
@@ -188,11 +190,9 @@ def _analytic_points(
     return [ScatterPoint(model, *row) for row in zip(params, *columns)]
 
 
-def _flagged(params: ModelParams, a: float, delta: float) -> ScatterPoint:
-    """A Monte Carlo point: each flag is set where its value is not NaN."""
-    return ScatterPoint(
-        params.name, params, a, delta, not math.isnan(a), not math.isnan(delta)
-    )
+def _flagged(model: str, params: ModelParams, a: float, delta: float) -> ScatterPoint:
+    """A point whose flags are read off its values: set where not NaN."""
+    return ScatterPoint(model, params, a, delta, not math.isnan(a), not math.isnan(delta))
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
@@ -226,7 +226,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
         points = _analytic_points(config.model, mat, params, m)
     else:
         runs = _run_points(params, config.n_per_arm, config.seed, m)
-        points = [_flagged(pt, *values) for pt, values in zip(params, runs)]
+        points = [_flagged(config.model, pt, *run) for pt, run in zip(params, runs)]
     return points, summarize(points)
 
 
@@ -249,7 +249,7 @@ def eval_point(
     # a point flagged on both counts never simulates
     n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)
     if mode == "montecarlo":
-        return _flagged(params, *_run_point(params, n_per_arm, seed, m))
+        return _flagged(params.name, params, *_run_point(params, n_per_arm, seed, m))
 
     accardi_ok, boost_ok = params.flags(m)
     # looked up at call time, so wrappers on the model modules see each call
@@ -257,14 +257,8 @@ def eval_point(
         a_fn, d_fn = cm.accardi_classical, cm.boost_classical
     else:
         a_fn, d_fn = qm.accardi_quantum, qm.boost_quantum
-    return ScatterPoint(
-        params.name,
-        params,
-        a_fn(params) if accardi_ok else math.nan,
-        d_fn(params) if boost_ok else math.nan,
-        accardi_ok,
-        boost_ok,
-    )
+    a = a_fn(params) if accardi_ok else math.nan
+    return _flagged(params.name, params, a, d_fn(params) if boost_ok else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +363,8 @@ def estimate_from_file(path) -> CountEstimate:
         delta = cm.boost_closed_form(p, q_r, q_n)
         bst = with_error(delta, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p)
 
-    point = ScatterPoint(
-        model="empirical",
-        params=params,
-        a=acc.estimate if acc is not None else math.nan,
-        delta=bst.estimate if bst is not None else math.nan,
-        accardi_defined=acc is not None,
-        boost_defined=bst is not None,
-    )
+    a = math.nan if acc is None else acc.estimate
+    point = _flagged("empirical", params, a, math.nan if bst is None else bst.estimate)
     return CountEstimate(point=point, accardi=acc, boost=bst)
 
 
@@ -488,7 +476,7 @@ def read_csv(path) -> list[ScatterPoint]:
                 if flags != tuple(map(math.isfinite, values)):
                     raise MalformedInput(f"bad CSV row: {row!r}")
                 # the parameter classes apply float()
-                points.append(ScatterPoint(model, cls(*(p1, p2, p3)[:n]), *values, *flags))
+                points.append(_flagged(model, cls(*(p1, p2, p3)[:n]), *values))
         except MalformedInput:
             raise
         except ValueError as exc:  # from float() or a parameter class

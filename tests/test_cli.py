@@ -193,41 +193,83 @@ class TestEstimateCommand:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def _env(unbuffered):
+    """This process's environment, with PYTHONUNBUFFERED set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+_BUFFERING = pytest.mark.parametrize(
+    "unbuffered", [False, True], ids=["buffered", "unbuffered"]
+)
+
+
 class TestClosedOutputPipe:
     # stdout into a pipe whose reader is gone: exit 3 with one i/o error
     # line, whether stdout is buffered or not, and whether the output fits
     # the write buffer (the failure comes at the flush) or goes out in one
     # write far larger than the pipe (an unbuffered short write drops the
-    # rest of it unseen)
+    # rest of it unseen).  With stderr in the same pipe, the error line
+    # fails too, and the exit code is still 3
     BIG = ["sweep", "--model", "classical", "--n-points", "20000"]
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @_BUFFERING
     @pytest.mark.parametrize(
-        "argv, n_read",
+        "argv, n_read, stderr",
         [
-            (["classical", "0.5", "0.8", "0.2"], 0),
-            (["sweep", "--model", "quantum", "--n-points", "3", "--format", "json"], 0),
-            (BIG + ["--format", "json"], 100),
-            (BIG, 100),
+            (["classical", "0.5", "0.8", "0.2"], 0, subprocess.PIPE),
+            (
+                ["sweep", "--model", "quantum", "--n-points", "3", "--format", "json"],
+                0,
+                subprocess.PIPE,
+            ),
+            (BIG + ["--format", "json"], 100, subprocess.PIPE),
+            (BIG, 100, subprocess.PIPE),
+            (BIG, 100, subprocess.STDOUT),
         ],
-        ids=["point", "small-json", "big-json", "big-csv"],
+        ids=["point", "small-json", "big-json", "big-csv", "big-csv-stderr-too"],
     )
-    def test_exits_3(self, argv, n_read, unbuffered):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+    def test_exits_3(self, argv, n_read, stderr, unbuffered):
         proc = subprocess.Popen(
             [sys.executable, "-m", "irboost", *argv],
             stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
+            stderr=stderr,
+            env=_env(unbuffered),
         )
         proc.stdout.read(n_read)
         proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
+        err = ""
+        if proc.stderr is not None:
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
         assert proc.wait(timeout=60) == 3, err
-        assert err.startswith("irboost: i/o error:") and err.count("\n") == 1, err
+        if proc.stderr is not None:
+            assert err.startswith("irboost: i/o error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestUnwritableStderr:
+    # an error line that stderr cannot take leaves the exit code as it
+    # was, whether stderr is buffered or not: with the failed line still
+    # in its buffer, a buffered stderr fails again at exit
+    @_BUFFERING
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["classical", "0.5", "0.8", "nan"], 2), (["estimate", "/no/such/file"], 3)],
+        ids=["error", "io-error"],
+    )
+    def test_keeps_the_exit_code(self, argv, code, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "irboost", *argv],
+                stdout=subprocess.PIPE,
+                stderr=full,
+                env=_env(unbuffered),
+            )
+        assert proc.returncode == code
+        assert proc.stdout == b""
 
 
 class TestGnuplotCommand:
@@ -404,6 +446,14 @@ class TestOutFileRewrite:
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_null_device(self):
         assert main([*self.POINT, "--out", "/dev/null"]) == 0
+
+    def test_empty_path_is_an_io_error(self, capsys):
+        # not stdout: only a missing --out means stdout
+        assert main([*self.POINT, "--out", ""]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("irboost: i/o error:")
+        assert captured.err.count("\n") == 1
 
     def test_failed_write_is_cut_where_it_stopped(self, tmp_path, monkeypatch, capsys):
         def one_row_then_fail(points, stream):

@@ -758,6 +758,96 @@ class TestCsv:
         assert float(delta) == defined[0].delta
 
 
+def _flags_read_off(pt):
+    """Whether each flag of ``pt`` is set exactly where its value is finite."""
+    values = (math.isfinite(pt.a), math.isfinite(pt.delta))
+    return (pt.accardi_defined, pt.boost_defined) == values
+
+
+_MARGINS = st.sampled_from([0.0, DEFAULT_EXCLUSION_MARGIN, 0.3])
+# distances from a singular manifold, some just inside or outside a margin
+_OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1e-12, 5e-7, 1e-6, 2e-6, 2e-3, 0.29, 0.3, 0.31]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _crowded_params(draw):
+    """Points in either model's box, crowded at its singular manifolds."""
+    off, sign = draw(_OFFSETS), draw(st.sampled_from([-1.0, 1.0]))
+    if draw(st.booleans()):
+        # A is singular at q_r = q_n; Delta at P(R) = 0 and at q_r = q_n = 0
+        q_r = draw(st.one_of(_unit, _OFFSETS))
+        q_n = min(max(q_r + sign * off, 0.0), 1.0)
+        return ClassicalParams(draw(st.one_of(_unit, _OFFSETS)), q_r, q_n)
+    # A is singular at cos(alpha) = 0; Delta at phi = pi
+    phi = draw(st.one_of(_angle, _OFFSETS.map(lambda o: math.pi - o)))
+    return QuantumParams(phi, math.pi / 2 + sign * off)
+
+
+@st.composite
+def _count_files(draw):
+    """The five counts of a consistent file, some with tied conditional
+    rates (A undefined) or P(R) at EPS_DENOM (Delta undefined)."""
+    n = draw(st.one_of(st.integers(2, 10_000), st.sampled_from([10**9, 10**18])))
+    n_r = draw(st.one_of(st.integers(1, n - 1), st.just(1), st.just(n // 2)))
+    n_xr = draw(st.integers(0, n_r))
+    tied = n_xr * (n - n_r) // n_r
+    n_xn = draw(st.one_of(st.integers(0, n - n_r), st.just(tied)))
+    return n, n_r, n_xr, n_xn, draw(st.integers(0, n))
+
+
+class TestFlagsReadOffValues:
+    """Every entry point sets a flag exactly where its value is finite: a
+    value a flag keeps is never NaN, so the flags can be read off the
+    values, as _flagged reads them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        params=_crowded_params(),
+        mode=st.sampled_from(["analytic", "montecarlo"]),
+        margin=_MARGINS,
+        n_per_arm=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(QuantumParams(math.pi / 2, math.pi / 2), "analytic", 1e-6, 1, 0)
+    @example(ClassicalParams(0.0, 0.8, 0.2), "analytic", 1e-6, 1, 0)
+    def test_eval_point(self, params, mode, margin, n_per_arm, seed):
+        assert _flags_read_off(eval_point(params, mode, n_per_arm, seed, margin))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(["classical", "quantum"]),
+        mode=st.sampled_from(["analytic", "montecarlo"]),
+        n_points=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        n_per_arm=st.integers(1, 5),
+        margin=_MARGINS,
+    )
+    def test_sweep_and_read_csv(self, model, mode, n_points, seed, n_per_arm, margin):
+        points, _ = sweep(SweepConfig(model, n_points, seed, mode, n_per_arm, margin))
+        assert all(map(_flags_read_off, points))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "points.csv")
+            export_csv(points, path)
+            back = read_csv(path)
+        assert all(map(_flags_read_off, back))
+        assert [pt[4:] for pt in back] == [pt[4:] for pt in points]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(counts=_count_files())
+    @example(counts=(100, 50, 25, 25, 50))  # tied rates: A undefined
+    @example(counts=(10**9, 1, 1, 500_000_000, 500_000_001))  # P(R) = EPS_DENOM
+    def test_estimate_from_file(self, counts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.txt")
+            with open(path, "w") as fh:
+                fh.write(" ".join(map(str, counts)))
+            pt = estimate_from_file(path).point
+        assert _flags_read_off(pt)
+
+
 class TestSummary:
     def test_counts_consistent(self):
         points, summary = sweep(SweepConfig("quantum", 2_000, seed=21))
