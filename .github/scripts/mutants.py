@@ -67,6 +67,20 @@ MUTANTS = (
         ("tests/test_stream.py::TestArmCalls::test_point_stops_a_flag_at_its_first_starved_arm",),
     ),
     Mutant(
+        "draws-budget-inclusive",
+        STREAM,
+        "    while draws > budget:\n",
+        "    while draws >= budget:\n",
+        ("tests/test_stream_kernel.py::TestSmallBudgetLaw::test_arm",),
+    ),
+    Mutant(
+        "int-rule-admits-non-integers",
+        STREAM,
+        "value = low - 1  # not an integer",
+        "value = low  # not an integer",
+        ("tests/test_stream.py::TestNPerArmRule::test_sim_config_rejects",),
+    ),
+    Mutant(
         "substream-skips-no-block",
         STREAM,
         "start = 4 * (index + 1)",
@@ -278,6 +292,22 @@ MUTANTS = (
         'return _report(3, f"irboost: i/o error: {exc}")',
         'return _report(2, f"irboost: i/o error: {exc}")',
         ("tests/test_cli.py::TestOutFileRewrite::test_failed_write_is_cut_where_it_stopped",),
+    ),
+    Mutant(
+        "closed-stdout-unchecked",
+        CLI,
+        '    elif sys.stdout is None:  # started with stdout closed: nowhere to write\n'
+        '        raise OSError("stdout is closed")\n',
+        "",
+        ("tests/test_cli.py::TestStdioStates::test_closed_stdout_exits_3",),
+    ),
+    Mutant(
+        "closed-stderr-line-to-stdout",
+        CLI,
+        "    if sys.stderr is None:  # closed at start: print would write to stdout\n"
+        "        return code\n",
+        "",
+        ("tests/test_cli.py::TestStdioStates::test_closed_stderr_keeps_stdout",),
     ),
     Mutant(
         "unwritable-stderr-left-in-place",

@@ -9,8 +9,8 @@ Subcommands:
   gnuplot FILE          reformat a sweep CSV as two-column 'a delta' text
 
 Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure
-(a closed output pipe or an empty --out among them); a stderr that cannot take
-the error line changes neither.
+(a closed output pipe, a closed stdout or an empty --out among them); a stderr
+that cannot take the error line changes neither.
 """
 
 from __future__ import annotations
@@ -182,6 +182,8 @@ def _output(args):
     if args.out is not None:  # "" too, which fails to open
         with _rewrite(args.out) as fh:
             yield fh
+    elif sys.stdout is None:  # started with stdout closed: nowhere to write
+        raise OSError("stdout is closed")
     else:
         try:
             yield sys.stdout
@@ -268,6 +270,8 @@ def _report(code: int, line: str) -> int:
     """Print ``line`` on stderr and return ``code``.  A stderr that cannot
     take the line is pointed at the null device, so neither this print nor
     the flush at exit changes the exit code."""
+    if sys.stderr is None:  # closed at start: print would write to stdout
+        return code
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:

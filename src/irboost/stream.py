@@ -134,26 +134,27 @@ _BOOST_ARMS = (3, 4)
 _EACH_ARM = tuple((index,) for index in range(len(_ALL_ARMS)))
 
 
-def _check_int(value, low: int, high: float, message: str) -> int:
-    """``value`` as a Python int; ValueError(message) unless it is an
-    integer (NumPy integers included) in [low, high]."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        value = low - 1  # not an integer: rejected as out of range
-    if not low <= value <= high:
-        raise ValueError(message)
-    return value
+def _int_rule(low: int, high: float, message: str):
+    """The rule ``check(value)``: ``value`` as a Python int; ValueError(message)
+    unless it is an integer (NumPy integers included) in [low, high].  A
+    closure, so a check is one call frame."""
+
+    def check(value) -> int:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            value = low - 1  # not an integer: rejected as out of range
+        if not low <= value <= high:
+            raise ValueError(message)
+        return value
+
+    return check
 
 
-def check_seed(seed) -> int:
-    """``seed`` as a Python int, if it is an integer in [0, 2**64)."""
-    return _check_int(seed, 0, 2**64 - 1, "seed must fit in 64 unsigned bits")
-
-
-def check_n_per_arm(n_per_arm) -> int:
-    """``n_per_arm`` as a Python int, if it is an integer in [1, _MAX_N_PER_ARM]."""
-    return _check_int(n_per_arm, 1, _MAX_N_PER_ARM, _N_PER_ARM_RULE)
+# ``seed`` as a Python int, if it is an integer in [0, 2**64)
+check_seed = _int_rule(0, 2**64 - 1, "seed must fit in 64 unsigned bits")
+# ``n_per_arm`` as a Python int, if it is an integer in [1, _MAX_N_PER_ARM]
+check_n_per_arm = _int_rule(1, _MAX_N_PER_ARM, _N_PER_ARM_RULE)
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,7 +47,7 @@ from .probcore import (
     with_error,
 )
 from .quantum import QuantumParams
-from .stream import _check_int, _run_point, _run_points, check_n_per_arm, check_seed
+from .stream import _int_rule, _run_point, _run_points, check_n_per_arm, check_seed
 
 # Unused here, but bench/tracing.py looks both up on this module by name
 # (its PATCHES list) and fails to install without them.
@@ -74,6 +74,9 @@ _FLAG_TEXT = {True: "true", False: "false"}  # accardi_defined, boost_defined
 DEFAULT_EXCLUSION_MARGIN = 1e-6
 DEFAULT_N_PER_ARM = 10_000
 
+# ``n_points`` as a Python int, if it is an integer >= 1
+_check_n_points = _int_rule(1, math.inf, "n_points must be >= 1")
+
 
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
@@ -87,8 +90,7 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.model, str) or self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        n_points = _check_int(self.n_points, 1, math.inf, "n_points must be >= 1")
-        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "n_points", _check_n_points(self.n_points))
         n_per_arm, seed, _ = _run_args(
             self.mode, self.n_per_arm, self.seed, self.exclusion_margin
         )
@@ -192,7 +194,11 @@ def _analytic_points(
 
 def _flagged(model: str, params: ModelParams, a: float, delta: float) -> ScatterPoint:
     """A point whose flags are read off its values: set where not NaN."""
-    return ScatterPoint(model, params, a, delta, not math.isnan(a), not math.isnan(delta))
+    # tuple.__new__ direct: the NamedTuple's generated __new__ is one more
+    # Python frame per point; the flags stay bools, as json.dumps wants them
+    return tuple.__new__(
+        ScatterPoint, (model, params, a, delta, not math.isnan(a), not math.isnan(delta))
+    )
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:

@@ -272,6 +272,89 @@ class TestUnwritableStderr:
         assert proc.stdout == b""
 
 
+_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+# the two forms run in every stdio state, with the golden each prints
+_CSV_FORM = (["classical", "0.5", "0.8", "0.2"], "classical.csv")
+_JSON_FORM = (["classical", "0.5", "0.8", "0.2", "--format", "json"], "classical.json")
+
+
+class TestStdioStates:
+    """The 0/2/3 exit contract holds whatever the standard streams are:
+    closed, on a full device, or a pipe with no reader.  Every command form
+    exits 3 with stdout closed; a CSV and a JSON form also run in the other
+    states.  No case prints a traceback on a stream the test can read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "0.5", "0.8", "0.2"],
+            ["quantum", "1.0", "0.7"],
+            ["sweep", "--model", "classical", "--n-points", "3"],
+            ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--n-per-arm", "50"],
+            ["estimate", str(DATA / "counts.txt")],
+            ["gnuplot", str(DATA / "sweep.csv")],
+            _JSON_FORM[0],
+        ],
+        ids=["classical", "quantum", "sweep", "simulate", "estimate", "gnuplot", "json"],
+    )
+    def test_closed_stdout_exits_3(self, argv):
+        proc = self._run(argv, ">&-")
+        assert proc.returncode == 3
+        assert proc.stderr == b"irboost: i/o error: stdout is closed\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, golden",
+        [
+            (_CSV_FORM[0], 0, _CSV_FORM[1]),
+            (_JSON_FORM[0], 0, _JSON_FORM[1]),
+            (["classical", "0.5", "0.8", "nan"], 2, None),
+        ],
+        ids=["csv", "json", "error"],
+    )
+    def test_closed_stderr_keeps_stdout(self, argv, code, golden):
+        # an error line has nowhere to go, and does not go to stdout
+        proc = self._run(argv, "2>&-")
+        assert proc.returncode == code
+        assert proc.stdout == (b"" if golden is None else (DATA / golden).read_bytes())
+
+    @pytest.mark.parametrize(
+        "redirect",
+        [">&- 2>&-", pytest.param(">/dev/full 2>/dev/full", marks=_FULL)],
+        ids=["both-closed", "both-full"],
+    )
+    @pytest.mark.parametrize("argv", [_CSV_FORM[0], _JSON_FORM[0]], ids=["csv", "json"])
+    def test_no_writable_stream_exits_3(self, argv, redirect):
+        proc = self._run(argv, redirect)
+        assert proc.returncode == 3
+        assert proc.stdout == proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [_CSV_FORM[0], _JSON_FORM[0]], ids=["csv", "json"])
+    def test_stdout_pipe_closed_early_exits_3(self, argv):
+        # the reader is gone before the command starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "irboost", *argv], stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"irboost: i/o error:") and proc.stderr.count(b"\n") == 1
+
+    @staticmethod
+    def _run(argv, redirect):
+        """``python -m irboost argv`` with the shell redirection
+        ``redirect``; the output of a stream the redirection leaves open
+        is captured."""
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "irboost", *argv],
+            capture_output=True,
+        )
+        assert b"Traceback" not in proc.stdout + proc.stderr
+        return proc
+
+
 class TestGnuplotCommand:
     def test_two_column_output(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"

@@ -12,10 +12,14 @@ Every statistical check over S seeds allows 5 standard errors: a sample
 mean within 5 sqrt(var / S) of the truth, a sample variance within
 5 sqrt(2 / (S - 1)) relative error (both tallies are close to normal at
 the n used), a frequency within 5 sqrt(P (1 - P) / S).  Seeds are fixed,
-so each run is deterministic.
+so each run is deterministic.  At a budget of a few draws, where the
+truncation shows, whole laws are checked against their exact values by
+chi-square instead (TestSmallBudgetLaw).
 """
 
 import math
+from collections import Counter
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,7 @@ from irboost import (
     simulate_classical,
     simulate_quantum,
 )
+from irboost import stream
 from irboost.quantum import quantum_rates
 from irboost.stream import MAX_DRAWS_FACTOR, _arm_rates
 
@@ -274,3 +279,152 @@ class TestEdgeCases:
         assert tally.counts.n_total == 10**12
         assert abs(tally.counts.n_success / 10**12 - 0.7) < 1e-5
         assert abs(tally.draws_consumed / 10**12 - 2.0) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the exact law at a tiny draw budget
+# ---------------------------------------------------------------------------
+
+STARVED = (True, None, None)  # the (starved, draws, successes) of a starved arm
+# Laurent and Massart, Ann. Statist. 28 (2000), Lemma 1: a chi-square
+# variable with df degrees of freedom exceeds df + 2 sqrt(df x) + 2 x with
+# probability at most exp(-x); x = ln 1e6 makes each check's false alarm
+# rate at most 1e-6
+_LOG_ALARM = math.log(1e6)
+
+
+def chi2_critical(df: int) -> float:
+    return df + 2.0 * math.sqrt(df * _LOG_ALARM) + 2.0 * _LOG_ALARM
+
+
+def assert_exact_law(observed: Counter, law: "dict[object, Fraction]", label) -> None:
+    """Pearson's chi-square of ``observed`` counts against the exact law
+    ``law`` (outcome -> probability).  An outcome of probability 0 fails
+    outright; the rarest cells are pooled until each expects at least 5."""
+    assert sum(law.values()) == 1, label
+    assert all(law.get(outcome, 0) > 0 for outcome in observed), (label, observed)
+    samples = sum(observed.values())
+    cells = sorted((float(p) * samples, observed[outcome]) for outcome, p in law.items() if p)
+    pooled = [[0.0, 0]]
+    for expected, count in cells:
+        if pooled[-1][0] >= 5.0:
+            pooled.append([0.0, 0])
+        pooled[-1][0] += expected
+        pooled[-1][1] += count
+    stat = sum((count - expected) ** 2 / expected for expected, count in pooled)
+    assert stat <= chi2_critical(len(pooled) - 1), (label, stat, len(pooled) - 1)
+
+
+def arm_law(n: int, budget: int, p_acc: float, q_acc: float) -> "dict[tuple, Fraction]":
+    """The exact law of (starved, draws, successes) of an arm that stops at
+    its n-th acceptance or starves at ``budget`` draws: draws d in
+    [n, budget] with the negative binomial's P = C(d - 1, n - 1) p^n
+    (1 - p)^(d - n), successes ~ Binomial(n, q) apart from them, and
+    starvation with P(Binomial(budget, p) < n)."""
+    p, q = Fraction(p_acc), Fraction(q_acc)
+    law = {
+        STARVED: sum(math.comb(budget, k) * p**k * (1 - p) ** (budget - k) for k in range(n))
+    }
+    for d in range(n, budget + 1):
+        p_d = math.comb(d - 1, n - 1) * p**n * (1 - p) ** (d - n)
+        for k in range(n + 1):
+            law[False, d, k] = p_d * math.comb(n, k) * q**k * (1 - q) ** (n - k)
+    return law
+
+
+class _CappedRng:
+    """A generator's variates for _run_arm, with at most ``cap``
+    negative binomial draws per arm: a rejection loop that never ends fails
+    the test instead of hanging it."""
+
+    def __init__(self, rng: np.random.Generator, cap: int):
+        self.binomial = rng.binomial
+        self._negative_binomial = rng.negative_binomial
+        self.cap = cap
+        self.left = cap
+
+    def negative_binomial(self, n, p):
+        self.left -= 1
+        assert self.left >= 0, "the draws loop never fit the budget"
+        return self._negative_binomial(n, p)
+
+
+def sample_arm(rng: _CappedRng, p_acc: float, q_acc: float, n: int) -> tuple:
+    rng.left = rng.cap
+    try:
+        tally = stream._run_arm(rng, p_acc, q_acc, n, "arm")
+    except ArmStarvation:
+        return STARVED
+    assert tally.counts.n_total == n
+    return False, tally.draws_consumed, tally.counts.n_success
+
+
+def none_pattern_law(starve: "list[Fraction]", groups) -> "dict[tuple, Fraction]":
+    """The exact law of which of a run's five tallies are None, given each
+    arm's starvation probability: a group stops at its first starved arm,
+    so the arms of a group are None from that arm on, and an arm in no
+    group is None always."""
+    law = {(True,) * len(starve): Fraction(1)}
+    for group in groups:
+        ends = {}  # the first starved arm of the group -> its probability
+        running = Fraction(1)
+        for j, index in enumerate(group):
+            ends[j] = running * starve[index]
+            running *= 1 - starve[index]
+        ends[len(group)] = running
+        law = {
+            tuple(
+                (none and index not in group) or (index in group and group.index(index) >= j)
+                for index, none in enumerate(pattern)
+            ): prob * p_end
+            for pattern, prob in law.items()
+            for j, p_end in ends.items()
+        }
+    return law
+
+
+class TestSmallBudgetLaw:
+    """At a draw budget of a few draws, starvation is common and the
+    truncation of the draws law is in plain view: the kernel's (starved,
+    draws, successes), and which tallies a run's groups leave None, match
+    their exact laws, computed in Fractions."""
+
+    # S arms per case; each chi-square check allows a false alarm rate of
+    # at most 1e-6.  Per arm, more than 10**5 negative binomial draws fail:
+    # the least likely fit, p_acc^n = 1e-3 at factor 1, is redrawn ~10**3
+    # times on average
+    S = 1_500
+    CAP = 10**5
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_arm(self, n, factor, monkeypatch):
+        monkeypatch.setattr(stream, "MAX_DRAWS_FACTOR", factor)
+        for case, p_acc in enumerate((0.1, 0.5, 0.9)):
+            q_acc = (0.2, 0.5, 0.9)[(case + n + factor) % 3]
+            rng = _CappedRng(np.random.default_rng([n, factor, case]), self.CAP)
+            observed = Counter(sample_arm(rng, p_acc, q_acc, n) for _ in range(self.S))
+            law = arm_law(n, factor * n, p_acc, q_acc)
+            assert_exact_law(observed, law, (n, factor, p_acc, q_acc))
+
+    @pytest.mark.parametrize(
+        "model", [ClassicalParams(0.3, 0.6, 0.2), QuantumParams(2.0, 1.0)], ids=["classical", "quantum"]
+    )
+    def test_tallies_none_pattern(self, model, monkeypatch):
+        # a Monte Carlo point's groups at n = 1 and factor 2, a budget of 2
+        # draws; the arms of p_acc 1 (2 and 4) never starve on their own
+        monkeypatch.setattr(stream, "MAX_DRAWS_FACTOR", 2)
+        rates = _arm_rates(model)
+        starve = [arm_law(1, 2, rates[2 * i], rates[2 * i + 1])[STARVED] for i in range(5)]
+        groups = (stream._ACCARDI_ARMS, stream._BOOST_ARMS)
+        observed = Counter(
+            tuple(t is None for t in stream._tallies(model, 1, seed, groups))
+            for seed in range(self.S)
+        )
+        assert_exact_law(observed, none_pattern_law(starve, groups), model)
+
+    def test_critical_value_is_conservative(self):
+        # chdtri(df, y) is the chi-square quantile with upper tail y
+        special = pytest.importorskip("scipy.special")
+        for df in range(1, 60):
+            assert chi2_critical(df) >= special.chdtri(df, 1e-6)

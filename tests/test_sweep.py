@@ -3,6 +3,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import json
 import math
 import os
 import pathlib
@@ -35,6 +36,7 @@ from irboost import (
 from irboost.sweep import (
     CSV_HEADER,
     DEFAULT_EXCLUSION_MARGIN,
+    MODES,
     ScatterPoint,
     SweepSummary,
     parse_count_file,
@@ -846,6 +848,52 @@ class TestFlagsReadOffValues:
                 fh.write(" ".join(map(str, counts)))
             pt = estimate_from_file(path).point
         assert _flags_read_off(pt)
+
+
+class TestPointType:
+    """Every source of points gives plain ``ScatterPoint`` tuples whose
+    flags are Python bools, which the JSON writer renders as true and
+    false.  _flagged builds its points without the class's own __new__,
+    so nothing else checks the type."""
+
+    @staticmethod
+    def _assert_plain(points):
+        for pt in points:
+            assert type(pt) is ScatterPoint, pt
+            assert type(pt.accardi_defined) is bool and type(pt.boost_defined) is bool, pt
+        doc = json.loads(json.dumps(points_to_json_dict(points)))
+        assert [(d["accardi_defined"], d["boost_defined"]) for d in doc["points"]] == [
+            (pt.accardi_defined, pt.boost_defined) for pt in points
+        ]
+        assert all(type(d["accardi_defined"]) is bool for d in doc["points"])
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_eval_point(self, mode):
+        # each flag set and unset
+        params = [
+            ClassicalParams(0.5, 0.8, 0.2),
+            ClassicalParams(0.0, 0.5, 0.5),
+            QuantumParams(1.0, 0.5),
+            QuantumParams(math.pi, math.pi / 2),
+        ]
+        self._assert_plain([eval_point(p, mode, n_per_arm=20, seed=3) for p in params])
+
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_sweeps_and_read_csv(self, model, tmp_path):
+        for mode in MODES:
+            points, _ = sweep(SweepConfig(model, 20, 5, mode, n_per_arm=5, exclusion_margin=0.2))
+            self._assert_plain(points)
+        path = tmp_path / "points.csv"
+        export_csv(points, path)
+        self._assert_plain(read_csv(path))
+
+    @pytest.mark.parametrize(
+        "counts", ["1000 500 400 100 500", "100 50 25 25 50"], ids=["defined", "tied-rates"]
+    )
+    def test_estimate_from_file(self, counts, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text(counts)
+        self._assert_plain([estimate_from_file(path).point])
 
 
 class TestSummary:
