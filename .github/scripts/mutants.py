@@ -181,8 +181,15 @@ MUTANTS = (
     Mutant(
         "flags-both-read-off-a",
         SWEEP,
-        "not math.isnan(a), not math.isnan(delta))",
-        "not math.isnan(a), not math.isnan(a))",
+        "return not math.isnan(self.delta)",
+        "return not math.isnan(self.a)",
+        ("tests/test_sweep.py::TestFlagsReadOffValues::test_eval_point",),
+    ),
+    Mutant(
+        "flags-accardi-read-off-delta",
+        SWEEP,
+        "return not math.isnan(self.a)",
+        "return not math.isnan(self.delta)",
         ("tests/test_sweep.py::TestFlagsReadOffValues::test_eval_point",),
     ),
     Mutant(

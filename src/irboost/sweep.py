@@ -8,10 +8,8 @@ parameter iid uniform on [0, bound], so classical (p, q_r, q_n) on
 Points within ``exclusion_margin`` of a singular manifold (|q_r - q_n|,
 |cos alpha|, or P(R) too small) are flagged, not dropped, so a sweep stays
 an unbiased uniform sample and summary fractions remain interpretable.  A
-``ScatterPoint``'s flag is set exactly where its value is not NaN, and
-``_flagged`` builds every point by reading its flags off its values; the
-one exception is ``_analytic_points``, which masks a whole sweep's values
-with the flags it computes as arrays.
+``ScatterPoint`` stores no flags: each is a property read off its value,
+set exactly where that value is not NaN.
 
 All parameter sampling happens up front from one seeded generator,
 ``default_rng(seed)``, and results are deterministic and independent of
@@ -99,14 +97,20 @@ class SweepConfig:
 
 
 class ScatterPoint(NamedTuple):
-    """One (A, Delta) point; a/delta are NaN exactly where their flag is False."""
+    """One (A, Delta) point; a flag is False exactly where its value is NaN."""
 
     model: str
     params: ModelParams
     a: float
     delta: float
-    accardi_defined: bool
-    boost_defined: bool
+
+    @property
+    def accardi_defined(self) -> bool:
+        return not math.isnan(self.a)
+
+    @property
+    def boost_defined(self) -> bool:
+        return not math.isnan(self.delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,17 +192,12 @@ def _analytic_points(
             a_ok, d_ok = qm.accardi_defined(ca, m), qm.boost_defined(cp, m)
             a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
             delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
-    columns = (a.tolist(), delta.tolist(), a_ok.tolist(), d_ok.tolist())
-    return [ScatterPoint(model, *row) for row in zip(params, *columns)]
+    return [_point(model, *row) for row in zip(params, a.tolist(), delta.tolist())]
 
 
-def _flagged(model: str, params: ModelParams, a: float, delta: float) -> ScatterPoint:
-    """A point whose flags are read off its values: set where not NaN."""
-    # tuple.__new__ direct: the NamedTuple's generated __new__ is one more
-    # Python frame per point; the flags stay bools, as json.dumps wants them
-    return tuple.__new__(
-        ScatterPoint, (model, params, a, delta, not math.isnan(a), not math.isnan(delta))
-    )
+def _point(model: str, params: ModelParams, a: float, delta: float) -> ScatterPoint:
+    # not ScatterPoint(...): its generated __new__ is one more Python frame
+    return tuple.__new__(ScatterPoint, (model, params, a, delta))
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
@@ -232,7 +231,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
         points = _analytic_points(config.model, mat, params, m)
     else:
         runs = _run_points(params, config.n_per_arm, config.seed, m)
-        points = [_flagged(config.model, pt, *run) for pt, run in zip(params, runs)]
+        points = [_point(config.model, pt, *run) for pt, run in zip(params, runs)]
     return points, summarize(points)
 
 
@@ -255,7 +254,7 @@ def eval_point(
     # a point flagged on both counts never simulates
     n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)
     if mode == "montecarlo":
-        return _flagged(params.name, params, *_run_point(params, n_per_arm, seed, m))
+        return _point(params.name, params, *_run_point(params, n_per_arm, seed, m))
 
     accardi_ok, boost_ok = params.flags(m)
     # looked up at call time, so wrappers on the model modules see each call
@@ -264,7 +263,7 @@ def eval_point(
     else:
         a_fn, d_fn = qm.accardi_quantum, qm.boost_quantum
     a = a_fn(params) if accardi_ok else math.nan
-    return _flagged(params.name, params, a, d_fn(params) if boost_ok else math.nan)
+    return _point(params.name, params, a, d_fn(params) if boost_ok else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def estimate_from_file(path) -> CountEstimate:
         bst = with_error(delta, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p)
 
     a = math.nan if acc is None else acc.estimate
-    point = _flagged("empirical", params, a, math.nan if bst is None else bst.estimate)
+    point = _point("empirical", params, a, math.nan if bst is None else bst.estimate)
     return CountEstimate(point=point, accardi=acc, boost=bst)
 
 
@@ -482,7 +481,7 @@ def read_csv(path) -> list[ScatterPoint]:
                 if flags != tuple(map(math.isfinite, values)):
                     raise MalformedInput(f"bad CSV row: {row!r}")
                 # the parameter classes apply float()
-                points.append(_flagged(model, cls(*(p1, p2, p3)[:n]), *values))
+                points.append(_point(model, cls(*(p1, p2, p3)[:n]), *values))
         except MalformedInput:
             raise
         except ValueError as exc:  # from float() or a parameter class

@@ -44,7 +44,7 @@ QUANTUM = QuantumParams(1.0, 0.5)
 STARVED = simulate_quantum(QuantumParams(math.pi - 1e-4, 0.3), 20, 5)
 EMPTY_SUMMARY = summarize([])  # every fraction and maximum NaN
 _points, _ = sweep(SweepConfig("quantum", 40, seed=3, exclusion_margin=0.2))
-_point = ScatterPoint("empirical", ClassicalParams(0.25, 0.5, 0.5), math.nan, 0.6, False, True)
+_point = ScatterPoint("empirical", ClassicalParams(0.25, 0.5, 0.5), math.nan, 0.6)
 
 # one instance of each record, NaN fields and a starved arm included
 EXAMPLES = [

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import importlib
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import sys
 import tempfile
@@ -254,7 +256,8 @@ class TestSweepMonteCarlo:
         one_flag = 0
         for pt, n, seed in runs:
             res = simulate(pt.params, n, seed)
-            a_ok, d_ok = eval_point(pt.params, exclusion_margin=margin)[4:]
+            analytic = eval_point(pt.params, exclusion_margin=margin)
+            a_ok, d_ok = analytic.accardi_defined, analytic.boost_defined
             one_flag += a_ok != d_ok
             a_est = res.accardi_est if a_ok else None
             b_est = res.boost_est if d_ok else None
@@ -303,7 +306,8 @@ class TestSweepMonteCarlo:
         # boost_est, bit for bit, at the point's flags; NaN and a false
         # flag where those are None
         pt = eval_point(params, "montecarlo", n_per_arm, seed, margin)
-        a_ok, d_ok = eval_point(params, exclusion_margin=margin)[4:]
+        analytic = eval_point(params, exclusion_margin=margin)
+        a_ok, d_ok = analytic.accardi_defined, analytic.boost_defined
         simulate = simulate_classical if params.name == "classical" else simulate_quantum
         res = simulate(params, n_per_arm, seed)
         a_est = res.accardi_est if a_ok else None
@@ -801,9 +805,9 @@ def _count_files(draw):
 
 
 class TestFlagsReadOffValues:
-    """Every entry point sets a flag exactly where its value is finite: a
-    value a flag keeps is never NaN, so the flags can be read off the
-    values, as _flagged reads them."""
+    """Every entry point gives points whose flags are set exactly where
+    their values are finite: a value a flag keeps is never NaN or
+    infinite, and each flag property reads its own value."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -835,7 +839,9 @@ class TestFlagsReadOffValues:
             export_csv(points, path)
             back = read_csv(path)
         assert all(map(_flags_read_off, back))
-        assert [pt[4:] for pt in back] == [pt[4:] for pt in points]
+        assert [(pt.accardi_defined, pt.boost_defined) for pt in back] == [
+            (pt.accardi_defined, pt.boost_defined) for pt in points
+        ]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(counts=_count_files())
@@ -851,10 +857,10 @@ class TestFlagsReadOffValues:
 
 
 class TestPointType:
-    """Every source of points gives plain ``ScatterPoint`` tuples whose
-    flags are Python bools, which the JSON writer renders as true and
-    false.  _flagged builds its points without the class's own __new__,
-    so nothing else checks the type."""
+    """Every source of points gives plain four-field ``ScatterPoint``
+    tuples whose flag properties are Python bools, which the JSON writer
+    renders as true and false.  _point builds its points without the
+    class's own __new__, so nothing else checks the type."""
 
     @staticmethod
     def _assert_plain(points):
@@ -895,6 +901,51 @@ class TestPointType:
         path.write_text(counts)
         self._assert_plain([estimate_from_file(path).point])
 
+    def test_flags_are_read_off_the_values_of_a_built_point(self, tmp_path):
+        # four fields, no stored flag: a point built directly with a NaN
+        # value reads that flag false, which no writer then contradicts
+        assert ScatterPoint._fields == ("model", "params", "a", "delta")
+        params = ClassicalParams(0.5, 0.8, 0.2)
+        points = [
+            ScatterPoint("classical", params, a, delta)
+            for a in (0.5, math.nan)
+            for delta in (0.6, math.nan)
+        ]
+        assert [(pt.accardi_defined, pt.boost_defined) for pt in points] == [
+            (True, True), (True, False), (False, True), (False, False)
+        ]
+        self._assert_plain(points)
+        path = tmp_path / "points.csv"
+        export_csv(points, path)
+        back = read_csv(path)
+        assert [repr(pt) for pt in back] == [repr(pt) for pt in points]
+        wide = ScatterPoint("classical", params, np.float64(0.5), np.float64(math.nan))
+        self._assert_plain([wide])
+        assert (wide.accardi_defined, wide.boost_defined) == (True, False)
+
+    def test_a_flag_cannot_be_assigned(self):
+        pt = ScatterPoint("classical", ClassicalParams(0.5, 0.8, 0.2), math.nan, 0.6)
+        for flag in ("accardi_defined", "boost_defined"):
+            with pytest.raises(AttributeError):
+                setattr(pt, flag, True)
+        assert (pt.accardi_defined, pt.boost_defined) == (False, True)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda pt: pickle.loads(pickle.dumps(pt))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_keeps_fields_and_flags(self, clone):
+        params = QuantumParams(1.0, 0.5)
+        for a, delta in [(0.25, -0.5), (math.nan, 0.5), (0.25, math.nan)]:
+            pt = ScatterPoint("quantum", params, a, delta)
+            got = clone(pt)
+            assert type(got) is ScatterPoint
+            assert repr(got) == repr(pt)  # by repr: NaN is unequal to itself
+            assert (got.accardi_defined, got.boost_defined) == (
+                pt.accardi_defined, pt.boost_defined
+            )
+
 
 class TestSummary:
     def test_counts_consistent(self):
@@ -907,9 +958,7 @@ class TestSummary:
         assert summary.max_delta == max(deltas)
 
     def test_empty_categories_are_nan(self):
-        pt = ScatterPoint(
-            "classical", ClassicalParams(0.5, 0.9, 0.1), 0.5, 0.4, True, True
-        )
+        pt = ScatterPoint("classical", ClassicalParams(0.5, 0.9, 0.1), 0.5, 0.4)
         summary = summarize([pt])
         assert summary.max_delta_classical_region == 0.4
         assert math.isnan(summary.max_delta_violation)
@@ -919,8 +968,8 @@ class TestSummary:
         # the region is the closed interval [0, 1]: A exactly 0 or 1 is not
         # a violation, and neither fraction counts it
         params = ClassicalParams(0.5, 0.9, 0.1)
-        at_edge = ScatterPoint("classical", params, edge, 0.7, True, True)
-        inside = ScatterPoint("classical", params, 0.5, 0.2, True, True)
+        at_edge = ScatterPoint("classical", params, edge, 0.7)
+        inside = ScatterPoint("classical", params, 0.5, 0.2)
         summary = summarize([at_edge, inside])
         assert summary.max_delta_classical_region == 0.7
         assert math.isnan(summary.max_delta_violation)
