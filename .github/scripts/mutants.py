@@ -181,16 +181,37 @@ MUTANTS = (
     Mutant(
         "flags-both-read-off-a",
         SWEEP,
-        "return not math.isnan(self.delta)",
-        "return not math.isnan(self.a)",
+        "return math.isfinite(self.delta)",
+        "return math.isfinite(self.a)",
         ("tests/test_sweep.py::TestFlagsReadOffValues::test_eval_point",),
     ),
     Mutant(
         "flags-accardi-read-off-delta",
         SWEEP,
-        "return not math.isnan(self.a)",
-        "return not math.isnan(self.delta)",
+        "return math.isfinite(self.a)",
+        "return math.isfinite(self.delta)",
         ("tests/test_sweep.py::TestFlagsReadOffValues::test_eval_point",),
+    ),
+    Mutant(
+        "flags-read-nan-not-finite",
+        SWEEP,
+        "math.isfinite(self.a)",
+        "not math.isnan(self.a)",
+        ("tests/test_sweep.py::TestPointType::test_an_infinite_value_reads_its_flag_false",),
+    ),
+    Mutant(
+        "point-model-not-read-off-params",
+        SWEEP,
+        "return self.params.name",
+        'return "classical"',
+        ("tests/test_sweep.py::TestPointType::test_the_model_is_read_off_the_params",),
+    ),
+    Mutant(
+        "empirical-points-named-classical",
+        SWEEP,
+        'name = "empirical"',
+        'name = "classical"',
+        ("tests/test_sweep.py::TestPointType::test_each_model_round_trips_through_csv",),
     ),
     Mutant(
         "summary-region-open-at-zero",

@@ -57,6 +57,7 @@ from .stream import (
 )
 from .sweep import (
     CountEstimate,
+    EmpiricalParams,
     ScatterPoint,
     SweepConfig,
     SweepSummary,
@@ -80,6 +81,7 @@ __all__ = [
     "ClassicalParams",
     "CountEstimate",
     "EPS_DENOM",
+    "EmpiricalParams",
     "EmptyArm",
     "EstimateWithError",
     "IrboostError",

@@ -8,8 +8,8 @@ parameter iid uniform on [0, bound], so classical (p, q_r, q_n) on
 Points within ``exclusion_margin`` of a singular manifold (|q_r - q_n|,
 |cos alpha|, or P(R) too small) are flagged, not dropped, so a sweep stays
 an unbiased uniform sample and summary fractions remain interpretable.  A
-``ScatterPoint`` stores no flags: each is a property read off its value,
-set exactly where that value is not NaN.
+``ScatterPoint``'s model is its params' ``name``, and each flag is read
+off its value: set exactly where that value is finite.
 
 All parameter sampling happens up front from one seeded generator,
 ``default_rng(seed)``, and results are deterministic and independent of
@@ -96,21 +96,31 @@ class SweepConfig:
         object.__setattr__(self, "seed", seed)
 
 
-class ScatterPoint(NamedTuple):
-    """One (A, Delta) point; a flag is False exactly where its value is NaN."""
+class EmpiricalParams(ClassicalParams):
+    """The classical rates a count file estimates, labelled ``empirical``."""
 
-    model: str
+    __slots__ = ()
+    name = "empirical"
+
+
+class ScatterPoint(NamedTuple):
+    """One (A, Delta) point; each flag is True exactly where its value is finite."""
+
     params: ModelParams
     a: float
     delta: float
 
     @property
+    def model(self) -> str:
+        return self.params.name
+
+    @property
     def accardi_defined(self) -> bool:
-        return not math.isnan(self.a)
+        return math.isfinite(self.a)
 
     @property
     def boost_defined(self) -> bool:
-        return not math.isnan(self.delta)
+        return math.isfinite(self.delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,12 +202,12 @@ def _analytic_points(
             a_ok, d_ok = qm.accardi_defined(ca, m), qm.boost_defined(cp, m)
             a = np.where(a_ok, qm.accardi_closed_form(ca, np.cos(phi - alpha)), np.nan)
             delta = np.where(d_ok, qm.boost_closed_form(cp, ca), np.nan)
-    return [_point(model, *row) for row in zip(params, a.tolist(), delta.tolist())]
+    return [_point(*row) for row in zip(params, a.tolist(), delta.tolist())]
 
 
-def _point(model: str, params: ModelParams, a: float, delta: float) -> ScatterPoint:
+def _point(params: ModelParams, a: float, delta: float) -> ScatterPoint:
     # not ScatterPoint(...): its generated __new__ is one more Python frame
-    return tuple.__new__(ScatterPoint, (model, params, a, delta))
+    return tuple.__new__(ScatterPoint, (params, a, delta))
 
 
 def summarize(points: Sequence[ScatterPoint]) -> SweepSummary:
@@ -231,7 +241,7 @@ def sweep(config: SweepConfig) -> "tuple[list[ScatterPoint], SweepSummary]":
         points = _analytic_points(config.model, mat, params, m)
     else:
         runs = _run_points(params, config.n_per_arm, config.seed, m)
-        points = [_point(config.model, pt, *run) for pt, run in zip(params, runs)]
+        points = [_point(pt, *run) for pt, run in zip(params, runs)]
     return points, summarize(points)
 
 
@@ -254,7 +264,7 @@ def eval_point(
     # a point flagged on both counts never simulates
     n_per_arm, seed, m = _run_args(mode, n_per_arm, seed, exclusion_margin)
     if mode == "montecarlo":
-        return _point(params.name, params, *_run_point(params, n_per_arm, seed, m))
+        return _point(params, *_run_point(params, n_per_arm, seed, m))
 
     accardi_ok, boost_ok = params.flags(m)
     # looked up at call time, so wrappers on the model modules see each call
@@ -263,7 +273,7 @@ def eval_point(
     else:
         a_fn, d_fn = qm.accardi_quantum, qm.boost_quantum
     a = a_fn(params) if accardi_ok else math.nan
-    return _point(params.name, params, a, d_fn(params) if boost_ok else math.nan)
+    return _point(params, a, d_fn(params) if boost_ok else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +348,8 @@ def estimate_from_file(path) -> CountEstimate:
     A comes from the Accardi ratio on the three empirical rates; Delta is
     ``boost_closed_form`` at (p, q_r, q_n) = (N_R/N, N_XR/N_R, N_XN/(N-N_R)),
     as in ``eval_point``, defined where the classical model's rule at
-    EPS_DENOM says so.  Undefined quantities are flagged, not fatal.
+    EPS_DENOM says so.  Undefined quantities are flagged, not fatal.  The
+    point's params are an ``EmpiricalParams``.
     """
     n, n_r, n_xr, n_xn, n_x = parse_count_file(path)
     n_nr = n - n_r
@@ -346,7 +357,7 @@ def estimate_from_file(path) -> CountEstimate:
     p = n_r / n
     q_r = n_xr / n_r
     q_n = n_xn / n_nr
-    params = ClassicalParams(p, q_r, q_n)
+    params = EmpiricalParams(p, q_r, q_n)
 
     try:
         acc = accardi_from_counts(
@@ -369,7 +380,7 @@ def estimate_from_file(path) -> CountEstimate:
         bst = with_error(delta, n, d_qr * se_qr, d_qn * se_qn, d_p * se_p)
 
     a = math.nan if acc is None else acc.estimate
-    point = _point("empirical", params, a, math.nan if bst is None else bst.estimate)
+    point = _point(params, a, math.nan if bst is None else bst.estimate)
     return CountEstimate(point=point, accardi=acc, boost=bst)
 
 
@@ -379,7 +390,7 @@ def estimate_from_file(path) -> CountEstimate:
 
 def _fmt(x: float) -> str:
     # 17 significant digits: lossless float round-trip
-    return "" if math.isnan(x) else format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else ""
 
 
 def _point_row(pt: ScatterPoint) -> str:
@@ -436,8 +447,8 @@ def _fields(line: str) -> list[str]:
 
 
 _CSV_MODELS = {  # model column -> (parameter class, number of fields)
-    name: (cls, len(cls.__match_args__))
-    for name, cls in {**MODELS, "empirical": ClassicalParams}.items()  # estimate rows
+    cls.name: (cls, len(cls.__match_args__))
+    for cls in (ClassicalParams, QuantumParams, EmpiricalParams)
 }
 _TEXT_FLAG = {text: flag for flag, text in _FLAG_TEXT.items()}
 # a line as writers emit it: printable ASCII but space and "_" (\x5f); float()
@@ -481,7 +492,7 @@ def read_csv(path) -> list[ScatterPoint]:
                 if flags != tuple(map(math.isfinite, values)):
                     raise MalformedInput(f"bad CSV row: {row!r}")
                 # the parameter classes apply float()
-                points.append(_point(model, cls(*(p1, p2, p3)[:n]), *values))
+                points.append(_point(cls(*(p1, p2, p3)[:n]), *values))
         except MalformedInput:
             raise
         except ValueError as exc:  # from float() or a parameter class
@@ -503,7 +514,7 @@ def points_to_json_dict(
     """JSON payload mirroring the CSV fields, plus the sweep summary."""
 
     def _val(x: float):
-        return None if math.isnan(x) else x
+        return x if math.isfinite(x) else None
 
     out: dict = {
         "points": [

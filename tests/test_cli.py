@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from irboost import cli
+from irboost import MalformedInput, cli, estimate_from_file
 from irboost.cli import main
 from irboost.stream import _SEED_CHUNK, SimResult
 from irboost.sweep import CSV_HEADER
@@ -181,6 +181,24 @@ class TestEstimateCommand:
         doc = json.loads(run_cli("estimate", str(path), "--format", "json").stdout)
         assert doc["points"][0]["boost_defined"] is False
         assert doc["estimates"]["boost"] is None
+
+    def test_count_too_long_exits_2(self, tmp_path, capsys):
+        # more digits than int() converts: the limit is set here, so the
+        # result does not depend on the interpreter's own setting
+        path = tmp_path / "counts.txt"
+        path.write_text("9" * 5000 + " 1 0 0 0\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(MalformedInput) as info:
+                estimate_from_file(path)
+            code = main(["estimate", str(path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        message = str(info.value)
+        assert message.startswith(f"count too long in {path}: ")
+        assert code == 2
+        assert capsys.readouterr() == ("", f"irboost: error: {message}\n")
 
     def test_missing_file_exits_3(self):
         proc = run_cli("estimate", "/no/such/file", check=False)

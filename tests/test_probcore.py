@@ -200,6 +200,10 @@ class TestWithError:
         assert with_error(0.0, 1, *t).std_error == forward
         assert with_error(0.0, 1, *t[::-1]).std_error == backward
 
+    def test_negative_error_is_refused(self):
+        with pytest.raises(ValueError, match="^std_error must be nonnegative$"):
+            EstimateWithError(0.0, -1.0, 1)
+
 
 class TestTotalProbability:
     def test_hand_arithmetic(self):

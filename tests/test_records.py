@@ -23,7 +23,7 @@ from irboost import ClassicalParams, QuantumParams, SweepConfig, simulate_quantu
 from irboost.probcore import ArmCounts, EstimateWithError, RateTriple
 from irboost.quantum import quantum_rates
 from irboost.stream import ArmTally, SimConfig
-from irboost.sweep import CountEstimate, ScatterPoint
+from irboost.sweep import CountEstimate, EmpiricalParams, ScatterPoint
 
 
 def _records():
@@ -44,7 +44,8 @@ QUANTUM = QuantumParams(1.0, 0.5)
 STARVED = simulate_quantum(QuantumParams(math.pi - 1e-4, 0.3), 20, 5)
 EMPTY_SUMMARY = summarize([])  # every fraction and maximum NaN
 _points, _ = sweep(SweepConfig("quantum", 40, seed=3, exclusion_margin=0.2))
-_point = ScatterPoint("empirical", ClassicalParams(0.25, 0.5, 0.5), math.nan, 0.6)
+EMPIRICAL = EmpiricalParams(0.25, 0.5, 0.5)
+_point = ScatterPoint(EMPIRICAL, math.nan, 0.6)
 
 # one instance of each record, NaN fields and a starved arm included
 EXAMPLES = [
@@ -53,6 +54,7 @@ EXAMPLES = [
     EstimateWithError(0.5, 0.1, 10),
     ClassicalParams(0.3, 0.9, 0.1),
     QUANTUM,
+    EMPIRICAL,
     quantum_rates(QUANTUM),
     SimConfig(QUANTUM, 100, 7),
     ArmTally(ArmCounts(10, 3), 12),

@@ -269,6 +269,16 @@ class TestEdgeCases:
         assert res.arms[ArmKind.DIRECT_TERM].counts.n_success == n
         assert res.arms[ArmKind.EXPAND_THEN_RELEVANCE].draws_consumed == n
 
+    def test_seed_words_serve_only_the_request_pcg64_makes(self):
+        # PCG64 asks for four uint64 words; any other request would get
+        # words that were never hashed for it
+        words = np.arange(4, dtype=np.uint64)
+        source = stream._Words(words)
+        assert source.generate_state(4, np.uint64) is words
+        for n_words, dtype in [(4, np.uint32), (3, np.uint64), (8, np.uint64)]:
+            with pytest.raises(ValueError, match="^expected a request for 4 uint64 words$"):
+                source.generate_state(n_words, dtype)
+
     def test_huge_n_per_arm_is_a_value_error(self):
         with pytest.raises(ValueError):
             simulate_arm(ClassicalParams(0.5, 0.5, 0.5), None, 10**30, seed=0)

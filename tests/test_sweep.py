@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from irboost import (
     ArmKind,
     ClassicalParams,
+    EmpiricalParams,
     MalformedInput,
     QuantumParams,
     SweepConfig,
@@ -528,11 +529,21 @@ class TestEstimateFromFile:
         path = self.write(tmp_path, "1000000000 1 1 500000000 500000001\n")
         outcome = estimate_from_file(path)
         pt = outcome.point
-        assert pt.params == ClassicalParams(1e-9, 1.0, 0.5000000005)
+        assert pt.params == EmpiricalParams(1e-9, 1.0, 0.5000000005)
         assert pt.boost_defined is False
         assert pt.boost_defined == eval_point(pt.params, exclusion_margin=0).boost_defined
         assert outcome.boost is None and math.isnan(pt.delta)
         assert pt.accardi_defined
+
+    def test_params_are_empirical(self, tmp_path):
+        # the classical rates, labelled apart: they evaluate as classical
+        # params and name the model "empirical"
+        pt = estimate_from_file(self.write(tmp_path, "1000 500 400 100 500\n")).point
+        assert type(pt.params) is EmpiricalParams
+        assert isinstance(pt.params, ClassicalParams)
+        assert pt.model == "empirical"
+        assert pt.params != ClassicalParams(0.5, 0.8, 0.2)
+        assert eval_point(pt.params).model == "empirical"
 
     def test_delta_and_flags_are_eval_points(self, tmp_path):
         # Delta is the closed form's float, bit for bit, and both flags
@@ -857,7 +868,7 @@ class TestFlagsReadOffValues:
 
 
 class TestPointType:
-    """Every source of points gives plain four-field ``ScatterPoint``
+    """Every source of points gives plain three-field ``ScatterPoint``
     tuples whose flag properties are Python bools, which the JSON writer
     renders as true and false.  _point builds its points without the
     class's own __new__, so nothing else checks the type."""
@@ -902,12 +913,12 @@ class TestPointType:
         self._assert_plain([estimate_from_file(path).point])
 
     def test_flags_are_read_off_the_values_of_a_built_point(self, tmp_path):
-        # four fields, no stored flag: a point built directly with a NaN
-        # value reads that flag false, which no writer then contradicts
-        assert ScatterPoint._fields == ("model", "params", "a", "delta")
+        # no stored flag: a point built directly with a NaN value reads
+        # that flag false, which no writer then contradicts
+        assert ScatterPoint._fields == ("params", "a", "delta")
         params = ClassicalParams(0.5, 0.8, 0.2)
         points = [
-            ScatterPoint("classical", params, a, delta)
+            ScatterPoint(params, a, delta)
             for a in (0.5, math.nan)
             for delta in (0.6, math.nan)
         ]
@@ -919,12 +930,12 @@ class TestPointType:
         export_csv(points, path)
         back = read_csv(path)
         assert [repr(pt) for pt in back] == [repr(pt) for pt in points]
-        wide = ScatterPoint("classical", params, np.float64(0.5), np.float64(math.nan))
+        wide = ScatterPoint(params, np.float64(0.5), np.float64(math.nan))
         self._assert_plain([wide])
         assert (wide.accardi_defined, wide.boost_defined) == (True, False)
 
     def test_a_flag_cannot_be_assigned(self):
-        pt = ScatterPoint("classical", ClassicalParams(0.5, 0.8, 0.2), math.nan, 0.6)
+        pt = ScatterPoint(ClassicalParams(0.5, 0.8, 0.2), math.nan, 0.6)
         for flag in ("accardi_defined", "boost_defined"):
             with pytest.raises(AttributeError):
                 setattr(pt, flag, True)
@@ -938,13 +949,85 @@ class TestPointType:
     def test_clone_keeps_fields_and_flags(self, clone):
         params = QuantumParams(1.0, 0.5)
         for a, delta in [(0.25, -0.5), (math.nan, 0.5), (0.25, math.nan)]:
-            pt = ScatterPoint("quantum", params, a, delta)
+            pt = ScatterPoint(params, a, delta)
             got = clone(pt)
             assert type(got) is ScatterPoint
             assert repr(got) == repr(pt)  # by repr: NaN is unequal to itself
             assert (got.accardi_defined, got.boost_defined) == (
                 pt.accardi_defined, pt.boost_defined
             )
+
+    def test_an_infinite_value_reads_its_flag_false(self, tmp_path):
+        # a flag is set exactly where its value is finite: a point built with
+        # +-inf reads as its twin with NaN there, in the summary and in every
+        # writer, and the JSON holds no Infinity
+        params = ClassicalParams(0.5, 0.8, 0.2)
+        finite = ScatterPoint(params, 0.5, 0.6)
+        values = (0.5, math.inf, -math.inf)
+        points = [ScatterPoint(params, a, delta) for a in values for delta in values][1:]
+        twins = [
+            ScatterPoint(params, *(v if math.isfinite(v) else math.nan for v in pt[1:]))
+            for pt in points
+        ]
+        for pt, twin in zip(points, twins):
+            assert _flags_read_off(pt)
+            assert not (pt.accardi_defined and pt.boost_defined)
+            assert repr(summarize([pt, finite])) == repr(summarize([twin, finite]))
+        self._assert_plain(points)
+        path = tmp_path / "points.csv"
+        export_csv(points, path)
+        back = read_csv(path)
+        assert [repr(pt) for pt in back] == [repr(pt) for pt in twins]
+        assert [(pt.accardi_defined, pt.boost_defined) for pt in back] == [
+            (pt.accardi_defined, pt.boost_defined) for pt in points
+        ]
+        buf = io.StringIO()
+        write_gnuplot(points, buf)
+        assert buf.getvalue() == "# a delta\n"
+
+        def _refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(
+            json.dumps(points_to_json_dict(points, summarize(points))), parse_constant=_refuse
+        )
+        assert [(d["a"], d["delta"]) for d in doc["points"]] == [
+            (pt.a if pt.accardi_defined else None, pt.delta if pt.boost_defined else None)
+            for pt in points
+        ]
+
+    def test_the_model_is_read_off_the_params(self):
+        # no stored model: a point names its params' model, so the two
+        # cannot disagree
+        points = [
+            ScatterPoint(params, 0.5, 0.6)
+            for params in (
+                ClassicalParams(0.5, 0.8, 0.2),
+                QuantumParams(1.0, 0.5),
+                EmpiricalParams(0.5, 0.8, 0.2),
+            )
+        ]
+        assert [pt.model for pt in points] == ["classical", "quantum", "empirical"]
+        for pt in points:
+            assert pt.model == pt.params.name
+            with pytest.raises(AttributeError):
+                pt.model = "quantum"
+
+    def test_each_model_round_trips_through_csv(self, tmp_path):
+        # the model column picks the class read_csv builds: an empirical row
+        # comes back as EmpiricalParams
+        points = [
+            ScatterPoint(ClassicalParams(0.5, 0.8, 0.2), 0.5, 0.6),
+            ScatterPoint(QuantumParams(1.0, 0.5), math.nan, -0.25),
+            ScatterPoint(EmpiricalParams(0.25, 0.5, 0.5), math.nan, 0.0),
+        ]
+        path = tmp_path / "points.csv"
+        export_csv(points, path)
+        back = read_csv(path)
+        assert [repr(pt) for pt in back] == [repr(pt) for pt in points]
+        assert [type(pt.params) for pt in back] == [
+            ClassicalParams, QuantumParams, EmpiricalParams
+        ]
 
 
 class TestSummary:
@@ -958,7 +1041,7 @@ class TestSummary:
         assert summary.max_delta == max(deltas)
 
     def test_empty_categories_are_nan(self):
-        pt = ScatterPoint("classical", ClassicalParams(0.5, 0.9, 0.1), 0.5, 0.4)
+        pt = ScatterPoint(ClassicalParams(0.5, 0.9, 0.1), 0.5, 0.4)
         summary = summarize([pt])
         assert summary.max_delta_classical_region == 0.4
         assert math.isnan(summary.max_delta_violation)
@@ -968,8 +1051,8 @@ class TestSummary:
         # the region is the closed interval [0, 1]: A exactly 0 or 1 is not
         # a violation, and neither fraction counts it
         params = ClassicalParams(0.5, 0.9, 0.1)
-        at_edge = ScatterPoint("classical", params, edge, 0.7)
-        inside = ScatterPoint("classical", params, 0.5, 0.2)
+        at_edge = ScatterPoint(params, edge, 0.7)
+        inside = ScatterPoint(params, 0.5, 0.2)
         summary = summarize([at_edge, inside])
         assert summary.max_delta_classical_region == 0.7
         assert math.isnan(summary.max_delta_violation)
