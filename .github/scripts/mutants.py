@@ -251,8 +251,8 @@ MUTANTS = (
     Mutant(
         "count-file-one-read",
         SWEEP,
-        "while chunk := os.read(fd, 65536):",
-        "if chunk := os.read(fd, 65536):",
+        "while left and (chunk := os.read(fd, 65536 if left > 65536 else left)):",
+        "if left and (chunk := os.read(fd, 65536 if left > 65536 else left)):",
         ("tests/test_sweep.py::TestEstimateFromFile::test_read_runs_to_the_end_of_a_long_file",),
     ),
     Mutant(
@@ -343,6 +343,27 @@ MUTANTS = (
         "    except OSError:\n        _to_devnull(sys.stderr)\n",
         "    except OSError:\n        pass\n",
         ("tests/test_cli.py::TestUnwritableStderr::test_keeps_the_exit_code",),
+    ),
+    Mutant(
+        "reader-takes-a-dash-value",
+        CLI,
+        '        if token.startswith("-"):\n            return None\n',
+        "",
+        ("tests/test_cli_reader.py::test_reader_is_argparse",),
+    ),
+    Mutant(
+        "reader-skips-choices",
+        CLI,
+        'if "choices" in spec and value not in spec["choices"]:',
+        "if False:",
+        ("tests/test_cli_reader.py::test_reader_is_argparse",),
+    ),
+    Mutant(
+        "reader-drops-required",
+        CLI,
+        'if name not in values and spec.get("required"):',
+        "if False:",
+        ("tests/test_cli_reader.py::test_reader_is_argparse",),
     ),
     Mutant(
         "help-width-one-column-wide",

@@ -8,6 +8,11 @@ Subcommands:
   estimate FILE         empirical (A, Delta) from a five-count file
   gnuplot FILE          reformat a sweep CSV as two-column 'a delta' text
 
+A well-formed argv (a subcommand, its positionals, then whole long options
+each with one value) is read straight from the argument tables below;
+argparse is built, fresh on each call, only for help, errors and the forms
+only it reads.
+
 Exit codes: 0 success, 2 malformed input (or too large a sweep), 3 I/O failure
 (a closed output pipe, a closed stdout or an empty --out among them); a stderr
 that cannot take the error line changes neither.
@@ -124,23 +129,14 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, names) -> None:
-    for name in names:
-        parser.add_argument(name.split()[0], **_ARGUMENTS[name])
-
-
-def _formatter():
-    """argparse's help formatter at the width its default reads (the
-    terminal's columns less 2), looked up once per parser build: left to
-    itself, argparse makes a formatter per add_argument, and each one asks
-    the terminal for its size."""
-    return functools.partial(
+def build_parser() -> argparse.ArgumentParser:
+    # argparse's help formatter at the width its default reads (the
+    # terminal's columns less 2), looked up once per build: left to itself,
+    # argparse makes a formatter per add_argument, and each one asks the
+    # terminal for its size.  Subparsers do not inherit formatter_class
+    formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    formatter = _formatter()  # subparsers do not inherit formatter_class
     parser = argparse.ArgumentParser(
         prog="irboost",
         description=(
@@ -152,27 +148,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        _add_arguments(command, arguments)
+        for argument in arguments:
+            command.add_argument(argument.split()[0], **_ARGUMENTS[argument])
     return parser
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named
-    subcommand's parser when ``argv`` parses through it alone."""
+def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """``build_parser().parse_args(argv)``, read straight from the tables
+    for one shape of argv: a subcommand, its positionals, then whole long
+    options each with one value, where no positional or value starts with
+    "-".  Each argument's type, choices, required and default apply, and a
+    repeated option keeps its last value.  None for any other argv, or one
+    that argparse would reject: help, "--", "=" forms, abbreviations,
+    negative numbers and errors are argparse's to read and to word."""
     command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        # the parser sub.add_parser(argv[0]) makes in build_parser
-        parser = argparse.ArgumentParser(
-            prog=f"irboost {argv[0]}", formatter_class=_formatter()
-        )
-        _add_arguments(parser, command[1])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    # no subcommand, or arguments left over: the top-level usage text and
-    # the "unrecognized arguments" error need the full parser
-    return build_parser().parse_args(argv)
+    if command is None:
+        return None
+    names = command[1]
+    positionals = [name for name in names if not name.startswith("-")]
+    end = 1 + len(positionals)
+    if len(argv) < end or (len(argv) - end) % 2:
+        return None
+    flags = argv[end::2]
+    if not all(flag.startswith("--") and flag in names for flag in flags):
+        return None
+    values = {}
+    pairs = (*zip(positionals, argv[1:end]), *zip(flags, argv[end + 1 :: 2]))
+    for name, token in pairs:
+        if token.startswith("-"):
+            return None
+        spec = _ARGUMENTS[name]
+        try:
+            values[name] = value = spec.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+    args = argparse.Namespace(command=argv[0])
+    for name in names:
+        spec = _ARGUMENTS[name]
+        if name not in values and spec.get("required"):
+            return None
+        dest = name.split()[0].lstrip("-").replace("-", "_")
+        setattr(args, dest, values.get(name, spec.get("default")))
+    return args
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``; the full parser is built only
+    for an argv that ``_read`` leaves to it."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 @contextlib.contextmanager
@@ -283,8 +309,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _run(args)
-    except (ValueError, MemoryError) as exc:  # MalformedInput is a ValueError
+    except ValueError as exc:  # MalformedInput is a ValueError
         return _report(2, f"irboost: error: {exc}")
+    except MemoryError as exc:  # a bare one has no text
+        return _report(2, f"irboost: error: {str(exc) or 'out of memory'}")
     except OSError as exc:
         return _report(3, f"irboost: i/o error: {exc}")
     return 0

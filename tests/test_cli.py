@@ -12,7 +12,7 @@ import pytest
 from irboost import MalformedInput, cli, estimate_from_file
 from irboost.cli import main
 from irboost.stream import _SEED_CHUNK, SimResult
-from irboost.sweep import CSV_HEADER
+from irboost.sweep import COUNT_FILE_CAP, CSV_HEADER
 
 DATA = pathlib.Path(__file__).parent / "data" / "cli"
 
@@ -203,6 +203,32 @@ class TestEstimateCommand:
     def test_missing_file_exits_3(self):
         proc = run_cli("estimate", "/no/such/file", check=False)
         assert proc.returncode == 3
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero and RLIMIT_AS")
+    def test_file_with_no_end_exits_2(self):
+        # the read stops past its cap: under a 300 MB address-space limit,
+        # set on the child alone, the error names the cap and not memory
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "irboost", "estimate", "/dev/zero"],
+            capture_output=True, text=True, preexec_fn=limit, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"irboost: error: count file longer than {COUNT_FILE_CAP} bytes\n"
+
+    def test_bare_memory_error_is_named(self, monkeypatch, capsys):
+        # a MemoryError with no text, as a read that runs out of memory
+        # raises, still gives an error line that says what went wrong
+        def no_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "estimate_from_file", no_memory)
+        assert main(["estimate", str(DATA / "counts.txt")]) == 2
+        assert capsys.readouterr() == ("", "irboost: error: out of memory\n")
 
     def test_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -630,8 +656,8 @@ class TestJsonKeyOrder:
         assert list(doc["estimates"]["boost"]) == self.ESTIMATE
 
 
-# argvs that main reads through one subcommand's parser, or falls back on the
-# full build_parser() for; each must come out as from the full parser alone
+# argvs that main reads from the argument tables, or leaves to the full
+# build_parser(); each must come out as from the full parser alone
 PARSE_BATTERY = [
     [],
     ["-h"],
@@ -663,10 +689,13 @@ PARSE_BATTERY = [
     ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--format", "csv"],
     ["simulate", "--model", "quantum", "--params", "1.0,0.5", "--mode", "analytic"],
     ["estimate", "counts.txt", "--mode", "montecarlo"],
+    # an option before the positionals, and an empty value
+    ["classical", "--mode", "analytic", "0.5", "0.8", "0.2"],
+    ["classical", "0.5", "0.8", "0.2", "--out", ""],
 ]
 
 
-# one argv that parses through each subcommand's parser alone
+# one well-formed argv per subcommand, read from the tables alone
 NAMED_ARGVS = [
     ["classical", "0.5", "0.8", "0.2"],
     ["quantum", "1.0", "0.7", "--format", "json"],
@@ -682,8 +711,9 @@ class _FullTreeBuilt(Exception):
 
 
 class TestParseRoutes:
-    """main builds only the subcommand its argv names, and falls back on the
-    full parser otherwise; either way the result is the full parser's."""
+    """main reads a well-formed argv from the argument tables, and leaves
+    any other to the full parser; either way the result is the full
+    parser's."""
 
     @staticmethod
     def _outcome(argv, capsys):
@@ -766,8 +796,9 @@ class TestHelpText:
 
 
 class TestTerminalSizeLookups:
-    """One terminal-size lookup per parser build, and a build per call: the
-    parser is not kept between calls."""
+    """No parser and no lookup for a well-formed argv; otherwise one
+    terminal-size lookup per parser build, and a build per call: the parser
+    is not kept between calls."""
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -782,10 +813,23 @@ class TestTerminalSizeLookups:
         return calls
 
     @pytest.mark.parametrize("argv", NAMED_ARGVS, ids=lambda argv: argv[0])
-    def test_one_per_subcommand_parse(self, argv, lookups):
-        for n in (1, 2):
+    def test_none_for_a_well_formed_argv(self, argv, lookups, monkeypatch):
+        monkeypatch.setattr(argparse, "ArgumentParser", self._no_parser)
+        for _ in (1, 2):
             cli._parse(argv)
-            assert len(lookups) == n
+        assert lookups == []
+
+    def test_one_per_fallback_parse(self, lookups, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        for n in (1, 2):
+            cli._parse(["classical", "0.5", "0.8", "0.2", "--format=json"])
+            assert (len(builds), len(lookups)) == (n, n)
+
+    @staticmethod
+    def _no_parser(*args, **kwargs):
+        raise AssertionError("an argparse.ArgumentParser was built")
 
     def test_one_per_full_parser(self, lookups):
         for n in (1, 2):

@@ -37,6 +37,7 @@ from irboost import (
     sweep,
 )
 from irboost.sweep import (
+    COUNT_FILE_CAP,
     CSV_HEADER,
     DEFAULT_EXCLUSION_MARGIN,
     MODES,
@@ -597,6 +598,23 @@ class TestEstimateFromFile:
         assert text.encode()[65_535:65_538] == "\u20ac".encode()
         outcome = estimate_from_file(self.write(tmp_path, text))
         assert outcome == estimate_from_file(self.write(tmp_path, "1000 500 400 100 500\n"))
+
+    def test_read_stops_a_byte_past_the_cap(self, tmp_path):
+        # a file of the cap's length parses; one byte longer is malformed,
+        # and the message names the cap
+        counts = "1000 500 400 100 500\n"
+        at_cap = "#" * (COUNT_FILE_CAP - len(counts) - 1) + "\n" + counts
+        assert len(at_cap.encode()) == COUNT_FILE_CAP
+        outcome = estimate_from_file(self.write(tmp_path, at_cap))
+        assert outcome == estimate_from_file(self.write(tmp_path, counts))
+        message = f"^count file longer than {COUNT_FILE_CAP} bytes$"
+        with pytest.raises(MalformedInput, match=message):
+            parse_count_file(self.write(tmp_path, " " + at_cap))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_a_file_with_no_end_is_malformed(self):
+        with pytest.raises(MalformedInput, match=f"longer than {COUNT_FILE_CAP} bytes"):
+            parse_count_file("/dev/zero")
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=_COUNT_FILES)
